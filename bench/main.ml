@@ -1001,9 +1001,9 @@ let run_scaleout () =
           (fun members ->
             let run label mk =
               let io =
-                W.Setup.make_volume_io ~disk_mb:member_mb
-                  ~cpu:Lfs_disk.Cpu_model.free ~policy:(policy_of members)
-                  ~members ()
+                W.Setup.make_io ~disk_mb:member_mb
+                  ~cpu:Lfs_disk.Cpu_model.free
+                  ~volume:(policy_of members, members) ()
               in
               let inst = mk io in
               (* Seeks are measured as a delta over the timed window:

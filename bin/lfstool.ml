@@ -19,11 +19,14 @@ module Fs = Lfs_core.Fs
 module Geometry = Lfs_disk.Geometry
 module Io = Lfs_disk.Io
 
+(* Both failure points raise [Sys_error "<path>: <reason>"]. *)
 let read_file path =
   let ic = open_in_bin path in
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+    (fun () ->
+      try really_input_string ic (in_channel_length ic)
+      with Sys_error e -> raise (Sys_error (path ^ ": " ^ e)))
 
 let write_file path contents =
   let oc = open_out_bin path in
@@ -32,17 +35,29 @@ let write_file path contents =
     (fun () -> output_string oc contents)
 
 let make_io ~size_bytes =
-  let geometry = Geometry.wren_iv ~size_bytes in
-  Io.create (Disk.create geometry) (Clock.create ()) Cpu_model.free
+  Io.of_geometry (Geometry.wren_iv ~size_bytes) (Clock.create ()) Cpu_model.free
 
+(* An image that cannot be read, or whose size is not that of any disk,
+   is a usage error: one line and exit 2. *)
 let load_image path =
-  let media = read_file path in
-  let io = make_io ~size_bytes:(String.length media) in
-  Disk.restore (Io.disk io) (Bytes.of_string media);
-  io
+  let fail msg =
+    Printf.eprintf "lfstool: %s\n" msg;
+    exit 2
+  in
+  match read_file path with
+  | exception Sys_error e -> fail e
+  | media -> (
+      try
+        let io = make_io ~size_bytes:(String.length media) in
+        Io.restore_media io (Bytes.of_string media);
+        io
+      with Invalid_argument _ ->
+        fail
+          (Printf.sprintf "%s: %d bytes matches no disk geometry" path
+             (String.length media)))
 
 let save_image io path =
-  write_file path (Bytes.to_string (Disk.snapshot (Io.disk io)))
+  write_file path (Bytes.to_string (Io.snapshot_media io))
 
 let mount_image path =
   let io = load_image path in
@@ -784,8 +799,8 @@ let cmd_scaleout members_arg policy_arg files file_size json =
       (fun members ->
         let run label mk =
           let io =
-            Setup.make_volume_io ~disk_mb:16 ~cpu:Cpu_model.free ~policy
-              ~members ()
+            Setup.make_io ~disk_mb:16 ~cpu:Cpu_model.free
+              ~volume:(policy, members) ()
           in
           let inst = mk io in
           let seeks0 =

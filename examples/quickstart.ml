@@ -5,7 +5,6 @@
 
 module Clock = Lfs_disk.Clock
 module Cpu_model = Lfs_disk.Cpu_model
-module Disk = Lfs_disk.Disk
 module Fs = Lfs_core.Fs
 module Geometry = Lfs_disk.Geometry
 module Io = Lfs_disk.Io
@@ -18,8 +17,7 @@ let () =
   (* 1. A simulated 64 MB disk with the paper's WREN IV timing, a clock,
      and a CPU cost model: the "hardware". *)
   let geometry = Geometry.wren_iv ~size_bytes:(64 * 1024 * 1024) in
-  let disk = Disk.create geometry in
-  let io = Io.create disk (Clock.create ()) Cpu_model.sun4_260 in
+  let io = Io.of_geometry geometry (Clock.create ()) Cpu_model.sun4_260 in
   Format.printf "%a@." Geometry.pp geometry;
 
   (* 2. Format and mount an LFS with default (paper) parameters:
@@ -42,11 +40,10 @@ let () =
 
   (* 4. Everything so far lives in the file cache: no disk write has
      happened yet.  sync pushes a segment out. *)
-  let stats = Lfs_disk.Disk.stats disk in
-  Printf.printf "disk writes before sync: %d\n" stats.Lfs_disk.Disk.writes;
+  let writes () = (Io.disk_stats io).Lfs_disk.Disk.writes in
+  Printf.printf "disk writes before sync: %d\n" (writes ());
   Fs.sync fs;
-  Printf.printf "disk writes after sync:  %d (one segment write)\n"
-    stats.Lfs_disk.Disk.writes;
+  Printf.printf "disk writes after sync:  %d (one segment write)\n" (writes ());
 
   (* 5. Simulated time has been charged for every operation. *)
   Printf.printf "simulated time elapsed: %.3f ms\n"

@@ -5,9 +5,8 @@
 
     {[
       let geometry = Lfs_disk.Geometry.wren_iv ~size_bytes:(300 * 1024 * 1024) in
-      let disk = Lfs_disk.Disk.create geometry in
       let clock = Lfs_disk.Clock.create () in
-      let io = Lfs_disk.Io.create disk clock Lfs_disk.Cpu_model.sun4_260 in
+      let io = Lfs_disk.Io.of_geometry geometry clock Lfs_disk.Cpu_model.sun4_260 in
       match Lfs_core.Fs.format io Lfs_core.Config.default with
       | Error e -> failwith e
       | Ok () ->

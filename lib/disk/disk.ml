@@ -115,20 +115,22 @@ let create ?metrics ?member geometry =
 let set_fault_hook t hook = t.fault_hook <- hook
 
 let geometry t = t.geometry
-let metrics t = t.metrics
 
 (* Compatibility view: the record is rebuilt from the registry counters
    on every call.  Readers see the same numbers as before the registry
    existed; writes to the returned record go nowhere. *)
-let stats t =
+let stats_of value t =
   {
-    reads = cell_value t.c_reads;
-    writes = cell_value t.c_writes;
-    sectors_read = cell_value t.c_sectors_read;
-    sectors_written = cell_value t.c_sectors_written;
-    seeks = cell_value t.c_seeks;
-    busy_us = cell_value t.c_busy_us;
+    reads = value t.c_reads;
+    writes = value t.c_writes;
+    sectors_read = value t.c_sectors_read;
+    sectors_written = value t.c_sectors_written;
+    seeks = value t.c_seeks;
+    busy_us = value t.c_busy_us;
   }
+
+let stats t = stats_of cell_value t
+let aggregate_stats t = stats_of (fun c -> Metrics.value c.agg) t
 
 let seek_count t = cell_value t.c_seeks
 let busy_us t = cell_value t.c_busy_us
@@ -242,12 +244,11 @@ let clear_crash t =
 
 let crashed t = t.crashed
 
-let snapshot t = Bytes.copy t.store
+let snapshot_into t buf ~off =
+  Bytes.blit t.store 0 buf off (Bytes.length t.store)
 
-let restore t media =
-  if Bytes.length media <> Bytes.length t.store then
-    invalid_arg "Disk.restore: snapshot size mismatch";
-  Bytes.blit media 0 t.store 0 (Bytes.length media);
+let restore_from t media ~off =
+  Bytes.blit media off t.store 0 (Bytes.length t.store);
   t.head_cyl <- 0;
   t.next_sector <- 0;
   t.last_end_us <- 0;

@@ -48,7 +48,8 @@ type stats = {
 val create : ?metrics:Lfs_obs.Metrics.t -> ?member:int -> Geometry.t -> t
 (** [create geometry] makes a standalone disk with a private metrics
     registry.  A {!Volume} passes [~metrics] (the registry shared by the
-    whole multi-member stack) and [~member:i]: the disk then updates both
+    whole stack) and, on a multi-member volume, [~member:i]: the disk then
+    updates both
     the shared aggregate [disk.*] counters (get-or-create on the common
     registry, so they sum over members) and its own [disk.<i>.*] family —
     the per-spindle view.  Per-disk accessors below ({!stats},
@@ -59,15 +60,13 @@ val geometry : t -> Geometry.t
 val set_fault_hook : t -> fault_hook option -> unit
 (** Install (or clear) the fault hook.  At most one hook is active. *)
 
-val metrics : t -> Lfs_obs.Metrics.t
-(** The metrics registry owned by this disk's I/O stack.  The disk
-    registers its own instruments under [disk.*]; higher layers sharing
-    the stack (the {!Io} scheduler, caches, file systems) add theirs
-    here, so one registry describes the whole instance. *)
-
 val stats : t -> stats
-(** Compatibility view over the [disk.*] registry counters: a fresh
-    record per call.  Mutating the returned record has no effect. *)
+(** Compatibility view over this disk's counters: a fresh record per
+    call.  Mutating the returned record has no effect. *)
+
+val aggregate_stats : t -> stats
+(** The same view over the registry's aggregate [disk.*] counters — on a
+    shared registry, the sum over every member disk. *)
 
 val seek_count : t -> int
 (** Cheap accessor for [disk.seeks]. *)
@@ -124,8 +123,12 @@ val clear_crash : t -> unit
 
 val crashed : t -> bool
 
-val snapshot : t -> bytes
-(** Copy of the entire media, for test assertions. *)
+val snapshot_into : t -> bytes -> off:int -> unit
+(** Copy the entire media into [buf] at [off] — the one copy a
+    {!Volume.snapshot} makes of each member.
+    @raise Invalid_argument if [buf] is too short. *)
 
-val restore : t -> bytes -> unit
-(** Overwrite the media from a snapshot.  Head position is reset. *)
+val restore_from : t -> bytes -> off:int -> unit
+(** Overwrite the media from [media] starting at [off] (one media-sized
+    copy).  Head position is reset.
+    @raise Invalid_argument if [media] is too short. *)

@@ -104,8 +104,8 @@ let on_read t ~sector ~count =
 
 (* The member disks the scenario targets: all of them by default, one
    spindle when [scenario.member] is set (how a mirror-degraded test
-   fails exactly one replica).  On a single-disk stack the only valid
-   member is 0. *)
+   fails exactly one replica).  On a plain disk the only valid member
+   is 0. *)
 let target_disks io scenario =
   match scenario.member with
   | None -> List.init (Io.members io) (Io.member_disk io)
@@ -157,8 +157,5 @@ let writes_seen t = t.writes
 let crashed_at t = t.crashed_at
 let faults_injected t = t.faults
 
-let crashed t =
-  List.exists Disk.crashed (List.init (Io.members t.io) (Io.member_disk t.io))
-
-let clear_crash t =
-  List.iter Disk.clear_crash (List.init (Io.members t.io) (Io.member_disk t.io))
+let crashed t = Volume.crashed (Io.volume t.io)
+let clear_crash t = Volume.clear_crash (Io.volume t.io)

@@ -14,21 +14,19 @@ type request = {
 
 exception Read_failed of { sector : int; attempts : int }
 
-(* The device behind the scheduler: one disk, or a multi-member volume.
-   Either way, every member ("lane") has its own busy horizon and request
-   queue — a single disk is simply the one-lane case, running the exact
-   same code paths. *)
-type device = Single of Disk.t | Vol of Volume.t
-
+(* Every member of the volume ("lane") has its own busy horizon and
+   request queue — a plain disk is simply the one-lane case, running the
+   exact same code paths. *)
 type lane = {
   l_member : int;
+  l_disk : Disk.t;
   mutable l_busy_until_us : int;
   mutable l_sched : Sched.t option;
       (* None = immediate issue-order service *)
 }
 
 type t = {
-  device : device;
+  volume : Volume.t;
   lanes : lane array;
   clock : Clock.t;
   cpu : Cpu_model.t;
@@ -55,16 +53,22 @@ type t = {
 
 let is_disk_request = function Event.Disk_request _ -> true | _ -> false
 
-let make ?(max_backlog_us = 2_000_000) ?(read_attempts = 4)
-    ?(retry_backoff_us = 1_000) device metrics nlanes clock cpu =
-  if max_backlog_us < 0 then invalid_arg "Io.create: negative backlog";
-  if read_attempts < 1 then invalid_arg "Io.create: read_attempts < 1";
-  if retry_backoff_us < 0 then invalid_arg "Io.create: negative backoff";
+let of_volume ?(max_backlog_us = 2_000_000) ?(read_attempts = 4)
+    ?(retry_backoff_us = 1_000) volume clock cpu =
+  if max_backlog_us < 0 then invalid_arg "Io.of_volume: negative backlog";
+  if read_attempts < 1 then invalid_arg "Io.of_volume: read_attempts < 1";
+  if retry_backoff_us < 0 then invalid_arg "Io.of_volume: negative backoff";
+  let metrics = Volume.metrics volume in
   {
-    device;
+    volume;
     lanes =
-      Array.init nlanes (fun i ->
-          { l_member = i; l_busy_until_us = 0; l_sched = None });
+      Array.init (Volume.members volume) (fun i ->
+          {
+            l_member = i;
+            l_disk = Volume.member_disk volume i;
+            l_busy_until_us = 0;
+            l_sched = None;
+          });
     clock;
     cpu;
     bus = Bus.create ~now:(fun () -> Clock.now_us clock) ();
@@ -89,37 +93,19 @@ let make ?(max_backlog_us = 2_000_000) ?(read_attempts = 4)
     audit = None;
   }
 
-let create ?max_backlog_us ?read_attempts ?retry_backoff_us disk clock cpu =
-  make ?max_backlog_us ?read_attempts ?retry_backoff_us (Single disk)
-    (Disk.metrics disk) 1 clock cpu
-
+(* A plain disk: one member striped in a single chunk, the identity map. *)
 let of_geometry ?max_backlog_us ?read_attempts ?retry_backoff_us geometry clock
     cpu =
-  create ?max_backlog_us ?read_attempts ?retry_backoff_us
-    (Disk.create geometry) clock cpu
-
-let of_volume ?max_backlog_us ?read_attempts ?retry_backoff_us volume clock cpu
-    =
-  make ?max_backlog_us ?read_attempts ?retry_backoff_us (Vol volume)
-    (Volume.metrics volume)
-    (Volume.members volume)
+  of_volume ?max_backlog_us ?read_attempts ?retry_backoff_us
+    (Volume.create
+       (Volume.Stripe { chunk_sectors = geometry.Geometry.sectors })
+       ~members:1 geometry)
     clock cpu
 
-let disk t =
-  match t.device with Single d -> d | Vol v -> Volume.member_disk v 0
-
-let volume t = match t.device with Single _ -> None | Vol v -> Some v
+let volume t = t.volume
 let members t = Array.length t.lanes
-
-let member_disk t i =
-  match t.device with
-  | Single d ->
-      if i <> 0 then invalid_arg "Io.member_disk: single-disk stack";
-      d
-  | Vol v -> Volume.member_disk v i
-
-let geometry t =
-  match t.device with Single d -> Disk.geometry d | Vol v -> Volume.geometry v
+let member_disk t i = Volume.member_disk t.volume i
+let geometry t = Volume.geometry t.volume
 
 let clock t = t.clock
 let cpu t = t.cpu
@@ -151,24 +137,6 @@ let record t ~kind ~sync ~sector ~sectors ~service_us ~sequential =
 
 let sector_size t = (geometry t).Geometry.sector_size
 
-let lane_disk t lane =
-  match t.device with
-  | Single d -> d
-  | Vol v -> Volume.member_disk v lane.l_member
-
-(* The member data path: a single disk is addressed directly, volume
-   members only through [Volume] (whose wrappers are the one sanctioned
-   raw-device surface besides this module). *)
-let dev_read t lane ~start_us ~sector ~count =
-  match t.device with
-  | Single d -> Disk.read ~start_us d ~sector ~count
-  | Vol v -> Volume.read ~start_us v ~member:lane.l_member ~sector ~count
-
-let dev_write t lane ~start_us ~sector data =
-  match t.device with
-  | Single d -> Disk.write ~start_us d ~sector data
-  | Vol v -> Volume.write ~start_us v ~member:lane.l_member ~sector data
-
 (* Without a scheduler the lane serves requests in issue order; a request
    begins when both the caller and the member device are ready. *)
 let start_time t lane = max (now_us t) lane.l_busy_until_us
@@ -189,23 +157,27 @@ let emit_queue t ~action ~kind ~sector ~sectors ~depth ~wait_us =
            wait_us;
          })
 
+(* A one-member volume's single run already is the [Disk_request]: only
+   multi-member volumes publish the logical op. *)
 let emit_volume_op t ~op ~sector ~sectors ~runs =
-  if Bus.enabled t.bus then
+  if members t > 1 && Bus.enabled t.bus then
     Bus.emit t.bus (Event.Volume_op { op; sector; sectors; runs })
 
 (* Retry loop shared by the immediate and queued read paths.  A failed
    attempt costs only the retry backoff: the fault hook rejects the
    request before the device computes a service time, so the head never
    moves and the clock advances by the (exponentially growing) wait
-   between attempts. *)
+   between attempts.  A retry starts no earlier than the end of its
+   backoff, whatever start time the service path would otherwise pick. *)
 let read_with_retries t lane ~start ~sector ~count ~sync =
-  let rec attempt n =
-    match dev_read t lane ~start_us:(start ()) ~sector ~count with
+  let rec attempt n ~not_before =
+    let start_us = max (start ()) not_before in
+    match Disk.read ~start_us lane.l_disk ~sector ~count with
     | data, service_us ->
-        let sequential = Disk.last_was_streamed (lane_disk t lane) in
+        let sequential = Disk.last_was_streamed lane.l_disk in
         record t ~kind:`Read ~sync ~sector ~sectors:count ~service_us
           ~sequential;
-        lane.l_busy_until_us <- start () + service_us;
+        lane.l_busy_until_us <- start_us + service_us;
         data
     | exception Disk.Read_fault _ ->
         if n >= t.read_attempts then raise (Read_failed { sector; attempts = n })
@@ -214,10 +186,19 @@ let read_with_retries t lane ~start ~sector ~count ~sync =
           let backoff = t.retry_backoff_us * (1 lsl (n - 1)) in
           Metrics.add t.c_backoff_us backoff;
           Clock.advance_us t.clock backoff;
-          attempt (n + 1)
+          attempt (n + 1) ~not_before:(now_us t)
         end
   in
-  attempt 1
+  attempt 1 ~not_before:0
+
+(* Service one write on a lane from [start]. *)
+let write_at t lane ~start ~sync ~sector data =
+  let service_us = Disk.write ~start_us:start lane.l_disk ~sector data in
+  record t ~kind:`Write ~sync ~sector
+    ~sectors:(Bytes.length data / sector_size t)
+    ~service_us
+    ~sequential:(Disk.last_was_streamed lane.l_disk);
+  lane.l_busy_until_us <- start + service_us
 
 (* Service one queued request.  The member worked through its queue in
    the background: the request starts when the member is free and the
@@ -231,14 +212,8 @@ let dispatch_entry t lane q (e : Sched.entry) =
   let payload =
     match e.Sched.kind with
     | `Write ->
-        let data = Option.get e.Sched.data in
-        let service_us =
-          dev_write t lane ~start_us:(start ()) ~sector:e.Sched.sector data
-        in
-        record t ~kind:`Write ~sync:e.Sched.sync ~sector:e.Sched.sector
-          ~sectors:e.Sched.count ~service_us
-          ~sequential:(Disk.last_was_streamed (lane_disk t lane));
-        lane.l_busy_until_us <- start () + service_us;
+        write_at t lane ~start:(start ()) ~sync:e.Sched.sync
+          ~sector:e.Sched.sector (Option.get e.Sched.data);
         None
     | `Read ->
         Some
@@ -253,7 +228,7 @@ let dispatch_entry t lane q (e : Sched.entry) =
 (* The oldest entry is always eligible, so a non-empty queue always
    dispatches: no livelock. *)
 let dispatch_next t lane q =
-  match Sched.select q ~head:(Disk.head_sector (lane_disk t lane)) with
+  match Sched.select q ~head:(Disk.head_sector lane.l_disk) with
   | None -> None
   | Some e -> Some (e, dispatch_entry t lane q e)
 
@@ -278,11 +253,10 @@ let dispatch_until t lane q ~id =
   in
   go ()
 
-let enqueue t lane q ~kind ~sync ~sector ~count ~data =
+let enqueue t q ~kind ~sync ~sector ~count ~data =
   let e =
     Sched.enqueue q ~kind ~sync ~sector ~count ~data ~arrival_us:(now_us t)
   in
-  ignore lane;
   Metrics.observe t.h_queue_depth (Sched.length q);
   emit_queue t ~action:`Enqueue ~kind ~sector ~sectors:count
     ~depth:(Sched.length q) ~wait_us:0;
@@ -290,22 +264,34 @@ let enqueue t lane q ~kind ~sync ~sector ~count ~data =
 
 (* ---- scatter/gather over a volume run's piece map ---- *)
 
+(* Split a logical write into member runs and publish the logical op. *)
+let write_runs t ~op ~sector data =
+  let ss = sector_size t in
+  let len = Bytes.length data in
+  if len = 0 || len mod ss <> 0 then
+    invalid_arg "Io: write data must be a positive multiple of sector size";
+  let count = len / ss in
+  let runs = Volume.Map.map_write (Volume.map t.volume) ~sector ~count in
+  emit_volume_op t ~op ~sector ~sectors:count ~runs:(List.length runs);
+  runs
+
 (* Assemble the member-contiguous payload of one write run from the
-   logical request buffer.  When the run covers the whole request in
-   order (single disk, mirror replica) the original buffer is returned
-   as-is — callers that enqueue must copy it then. *)
+   logical request buffer.  A run as long as the request covers it in
+   order (a plain disk, a mirror replica, a request inside one chunk), so
+   the original buffer is returned as-is — callers that enqueue must copy
+   it then. *)
 let gather ~ss data run =
-  match run.Volume.pieces with
-  | [ (0, len) ] when len * ss = Bytes.length data -> data
-  | pieces ->
-      let out = Bytes.create (run.Volume.count * ss) in
-      let pos = ref 0 in
-      List.iter
-        (fun (off, len) ->
-          Bytes.blit data (off * ss) out (!pos * ss) (len * ss);
-          pos := !pos + len)
-        pieces;
-      out
+  if run.Volume.count * ss = Bytes.length data then data
+  else begin
+    let out = Bytes.create (run.Volume.count * ss) in
+    let pos = ref 0 in
+    List.iter
+      (fun (off, len) ->
+        Bytes.blit data (off * ss) out (!pos * ss) (len * ss);
+        pos := !pos + len)
+      run.Volume.pieces;
+    out
+  end
 
 (* Spread one read run's member-contiguous data back into the logical
    result buffer. *)
@@ -326,7 +312,7 @@ let lane_read_run t lane ~sector ~count ~sync =
       read_with_retries t lane ~start:(fun () -> start_time t lane) ~sector
         ~count ~sync
   | Some q ->
-      let e = enqueue t lane q ~kind:`Read ~sync ~sector ~count ~data:None in
+      let e = enqueue t q ~kind:`Read ~sync ~sector ~count ~data:None in
       (match dispatch_until t lane q ~id:e.Sched.id with
       | Some d -> d
       | None -> assert false)
@@ -335,17 +321,11 @@ let lane_read_run t lane ~sector ~count ~sync =
    owned by the caller). *)
 let lane_sync_write_run t lane ~sector data =
   match lane.l_sched with
-  | None ->
-      let start = start_time t lane in
-      let service_us = dev_write t lane ~start_us:start ~sector data in
-      let sectors = Bytes.length data / sector_size t in
-      let sequential = Disk.last_was_streamed (lane_disk t lane) in
-      record t ~kind:`Write ~sync:true ~sector ~sectors ~service_us ~sequential;
-      lane.l_busy_until_us <- start + service_us
+  | None -> write_at t lane ~start:(start_time t lane) ~sync:true ~sector data
   | Some q ->
       let count = Bytes.length data / sector_size t in
       let e =
-        enqueue t lane q ~kind:`Write ~sync:true ~sector ~count
+        enqueue t q ~kind:`Write ~sync:true ~sector ~count
           ~data:(Some data)
       in
       ignore (dispatch_until t lane q ~id:e.Sched.id : bytes option)
@@ -354,21 +334,14 @@ let lane_sync_write_run t lane ~sector data =
    may be handed to the queue without copying. *)
 let lane_async_write_run t lane ~sector ~owned data =
   match lane.l_sched with
-  | None ->
-      let start = start_time t lane in
-      let service_us = dev_write t lane ~start_us:start ~sector data in
-      let sectors = Bytes.length data / sector_size t in
-      let sequential = Disk.last_was_streamed (lane_disk t lane) in
-      record t ~kind:`Write ~sync:false ~sector ~sectors ~service_us
-        ~sequential;
-      lane.l_busy_until_us <- start + service_us
+  | None -> write_at t lane ~start:(start_time t lane) ~sync:false ~sector data
   | Some q ->
       let count = Bytes.length data / sector_size t in
       (* The queue owns the payload from here: copy so a caller reusing
          its buffer cannot retroactively change a pending write. *)
       let payload = if owned then data else Bytes.copy data in
       let (_ : Sched.entry) =
-        enqueue t lane q ~kind:`Write ~sync:false ~sector ~count
+        enqueue t q ~kind:`Write ~sync:false ~sector ~count
           ~data:(Some payload)
       in
       (* Bounded queue: past [max_queue] pending requests the member must
@@ -385,7 +358,7 @@ let lane_async_write_run t lane ~sector ~owned data =
 let mirror_order t ~sector =
   let score lane =
     let qlen = match lane.l_sched with None -> 0 | Some q -> Sched.length q in
-    let head = Disk.head_sector (lane_disk t lane) in
+    let head = Disk.head_sector lane.l_disk in
     (qlen, max 0 (lane.l_busy_until_us - now_us t), abs (head - sector),
      lane.l_member)
   in
@@ -413,23 +386,27 @@ let mirror_read t ~sector ~count ~sync =
 
 let sync_read t ~sector ~count =
   let go () =
-    match t.device with
-    | Single _ ->
-        let lane = t.lanes.(0) in
-        let data = lane_read_run t lane ~sector ~count ~sync:true in
+    match Volume.policy t.volume with
+    | Volume.Mirror ->
+        emit_volume_op t ~op:"read" ~sector ~sectors:count ~runs:1;
+        let data, lane = mirror_read t ~sector ~count ~sync:true in
         Clock.advance_to_us t.clock lane.l_busy_until_us;
         data
-    | Vol v -> (
-        match Volume.policy v with
-        | Volume.Mirror ->
-            emit_volume_op t ~op:"read" ~sector ~sectors:count ~runs:1;
-            let data, lane = mirror_read t ~sector ~count ~sync:true in
+    | Volume.Stripe _ | Volume.Log_stripe _ -> (
+        let runs = Volume.Map.map_read (Volume.map t.volume) ~sector ~count in
+        emit_volume_op t ~op:"read" ~sector ~sectors:count
+          ~runs:(List.length runs);
+        match runs with
+        | [ r ] ->
+            (* One run covers the whole request in order: the member's
+               buffer is the result. *)
+            let lane = t.lanes.(r.Volume.member) in
+            let data =
+              lane_read_run t lane ~sector:r.Volume.sector ~count ~sync:true
+            in
             Clock.advance_to_us t.clock lane.l_busy_until_us;
             data
-        | Volume.Stripe _ | Volume.Log_stripe _ ->
-            let runs = Volume.map_read v ~sector ~count in
-            emit_volume_op t ~op:"read" ~sector ~sectors:count
-              ~runs:(List.length runs);
+        | runs ->
             let ss = sector_size t in
             let out = Bytes.create (count * ss) in
             let finish = ref 0 in
@@ -453,47 +430,28 @@ let sync_read t ~sector ~count =
 
 let sync_write t ~sector data =
   let go () =
-    match t.device with
-    | Single _ ->
-        let lane = t.lanes.(0) in
-        lane_sync_write_run t lane ~sector data;
-        Clock.advance_to_us t.clock lane.l_busy_until_us
-    | Vol v ->
-        let count = Bytes.length data / sector_size t in
-        let runs = Volume.map_write v ~sector ~count in
-        emit_volume_op t ~op:"write" ~sector ~sectors:count
-          ~runs:(List.length runs);
-        let ss = sector_size t in
-        let finish = ref 0 in
-        List.iter
-          (fun (r : Volume.run) ->
-            let lane = t.lanes.(r.Volume.member) in
-            lane_sync_write_run t lane ~sector:r.Volume.sector
-              (gather ~ss data r);
-            finish := max !finish lane.l_busy_until_us)
-          runs;
-        Clock.advance_to_us t.clock !finish
+    let ss = sector_size t in
+    let finish = ref 0 in
+    List.iter
+      (fun (r : Volume.run) ->
+        let lane = t.lanes.(r.Volume.member) in
+        lane_sync_write_run t lane ~sector:r.Volume.sector (gather ~ss data r);
+        finish := max !finish lane.l_busy_until_us)
+      (write_runs t ~op:"write" ~sector data);
+    Clock.advance_to_us t.clock !finish
   in
   if Bus.enabled t.bus then Bus.with_span t.bus "io_write" go else go ()
 
 let async_write t ~sector data =
   let go () =
-    (match t.device with
-    | Single _ ->
-        lane_async_write_run t t.lanes.(0) ~sector ~owned:false data
-    | Vol v ->
-        let count = Bytes.length data / sector_size t in
-        let runs = Volume.map_write v ~sector ~count in
-        emit_volume_op t ~op:"write_async" ~sector ~sectors:count
-          ~runs:(List.length runs);
-        let ss = sector_size t in
-        List.iter
-          (fun (r : Volume.run) ->
-            let payload = gather ~ss data r in
-            lane_async_write_run t
-              t.lanes.(r.Volume.member)
-              ~sector:r.Volume.sector ~owned:(payload != data) payload)
-          runs);
+    let ss = sector_size t in
+    List.iter
+      (fun (r : Volume.run) ->
+        let payload = gather ~ss data r in
+        lane_async_write_run t
+          t.lanes.(r.Volume.member)
+          ~sector:r.Volume.sector ~owned:(payload != data) payload)
+      (write_runs t ~op:"write_async" ~sector data);
     (* Writer throttling: the application may run ahead of the disk only
        by the write-buffer depth — measured against the slowest member. *)
     if max_busy t - Clock.now_us t.clock > t.max_backlog_us then
@@ -542,50 +500,21 @@ let set_scheduler ?(max_queue = 32) t d =
         (match d with None -> None | Some disc -> Some (Sched.create disc)))
     t.lanes
 
-let disk_stats t =
-  match t.device with
-  | Single d -> Disk.stats d
-  | Vol v ->
-      (* Aggregate member view, matching the shared disk.* counters. *)
-      let acc =
-        {
-          Disk.reads = 0;
-          writes = 0;
-          sectors_read = 0;
-          sectors_written = 0;
-          seeks = 0;
-          busy_us = 0;
-        }
-      in
-      for i = 0 to Volume.members v - 1 do
-        let s = Disk.stats (Volume.member_disk v i) in
-        acc.Disk.reads <- acc.Disk.reads + s.Disk.reads;
-        acc.Disk.writes <- acc.Disk.writes + s.Disk.writes;
-        acc.Disk.sectors_read <- acc.Disk.sectors_read + s.Disk.sectors_read;
-        acc.Disk.sectors_written <-
-          acc.Disk.sectors_written + s.Disk.sectors_written;
-        acc.Disk.seeks <- acc.Disk.seeks + s.Disk.seeks;
-        acc.Disk.busy_us <- acc.Disk.busy_us + s.Disk.busy_us
-      done;
-      acc
-
+(* The registry's aggregate disk.* counters, read through any member. *)
+let disk_stats t = Disk.aggregate_stats t.lanes.(0).l_disk
 let member_stats t i = Disk.stats (member_disk t i)
 
 let snapshot_media t =
   (* Pending queued writes belong on the snapshot: flush them to every
      member (extending its busy horizon) without advancing the clock. *)
   dispatch_all t;
-  match t.device with
-  | Single d -> Disk.snapshot d
-  | Vol v -> Volume.snapshot v
+  Volume.snapshot t.volume
 
 let restore_media t media =
   Array.iter
     (fun lane -> match lane.l_sched with Some q -> Sched.clear q | None -> ())
     t.lanes;
-  match t.device with
-  | Single d -> Disk.restore d media
-  | Vol v -> Volume.restore v media
+  Volume.restore t.volume media
 
 let backlog_us t = max 0 (max_busy t - Clock.now_us t.clock)
 

@@ -1,5 +1,5 @@
-(** The I/O scheduler: joins a {!Disk}, a {!Clock} and a {!Cpu_model} and
-    decides who pays for each request.
+(** The I/O scheduler: joins a {!Volume} of member {!Disk}s, a {!Clock}
+    and a {!Cpu_model} and decides who pays for each request.
 
     - [sync_read]/[sync_write] make the caller wait: the clock advances
       past any queued device work, then by the request's service time.
@@ -31,19 +31,21 @@
     eight small random writes versus LFS's single large sequential
     one.
 
-    {b Multi-disk volumes.}  The device behind the scheduler may be a
-    {!Volume} ({!of_volume}): N member disks, each with its own busy
-    horizon and — when a scheduler is installed — its own request queue,
-    all sharing the clock.  Requests are split by the volume's address
-    map into at most one contiguous run per member, the runs issued
-    together, and a synchronous caller resumes when the slowest member
-    finishes: an N-member striped segment write completes in roughly
-    [1/N] of the single-disk media time.  Mirror reads pick the replica
+    {b Always a volume.}  The device behind the scheduler is a {!Volume}
+    of N member disks ({!of_volume}); a plain disk is the one-member
+    volume whose map is the identity ({!of_geometry}).  Each member has
+    its own busy horizon and — when a scheduler is installed — its own
+    request queue, all sharing the clock.  Requests are split by the
+    volume's address map into at most one contiguous run per member, the
+    runs issued together, and a synchronous caller resumes when the
+    slowest member finishes: an N-member striped segment write completes
+    in roughly [1/N] of the single-disk media time.  A run that covers
+    the whole request is passed through without copying, so a one-member
+    volume costs what a bare disk did.  Mirror reads pick the replica
     with the shallowest queue / earliest horizon / closest head and fail
-    over transparently (counted in [io.degraded_reads]).  A single disk
-    is the one-lane case of the same code, so single-disk timing is
-    unchanged.  Logical requests on volumes are additionally published
-    as [Volume_op] events; the per-member requests appear as the usual
+    over transparently (counted in [io.degraded_reads]).  Logical
+    requests on multi-member volumes are additionally published as
+    [Volume_op] events; the per-member requests appear as the usual
     [Disk_request]s (with member-local sectors). *)
 
 type t
@@ -65,21 +67,26 @@ exception Read_failed of { sector : int; attempts : int }
     out: the typed surface of an unrecoverable media error.  [attempts]
     counts every try, including the first. *)
 
-val create :
+val of_volume :
   ?max_backlog_us:int ->
   ?read_attempts:int ->
   ?retry_backoff_us:int ->
-  Disk.t ->
+  Volume.t ->
   Clock.t ->
   Cpu_model.t ->
   t
-(** Default backlog: 2 s of queued device time (roughly two segment
+(** Mount a {!Volume} behind the scheduler.  Every member gets its own
+    busy horizon and (with {!set_scheduler}) its own queue; options apply
+    to all members.
+
+    Default backlog: 2 s of queued device time (roughly two segment
     writes ahead on the paper's disk).
 
     [read_attempts] (default 4) bounds how often {!sync_read} tries a
     request that fails with {!Disk.Read_fault}; each retry first waits
     [retry_backoff_us] (default 1 ms) doubled per attempt on the
-    simulated clock, accounted in [io.retries]/[io.backoff_us]. *)
+    simulated clock, accounted in [io.retries]/[io.backoff_us], and is
+    serviced no earlier than the end of that wait. *)
 
 val of_geometry :
   ?max_backlog_us:int ->
@@ -89,39 +96,24 @@ val of_geometry :
   Clock.t ->
   Cpu_model.t ->
   t
-(** [create] over a fresh {!Disk.create} — lets workload/bench code build
-    a whole stack without touching [Disk] directly. *)
+(** A plain disk of geometry [g]: {!of_volume} over a one-member
+    [Stripe] volume whose chunk is the whole member, so the logical
+    geometry is [g] itself. *)
 
-val of_volume :
-  ?max_backlog_us:int ->
-  ?read_attempts:int ->
-  ?retry_backoff_us:int ->
-  Volume.t ->
-  Clock.t ->
-  Cpu_model.t ->
-  t
-(** Mount a multi-member {!Volume} behind the scheduler.  Every member
-    gets its own busy horizon and (with {!set_scheduler}) its own queue;
-    options apply to all members. *)
-
-val disk : t -> Disk.t
-(** The device as a single disk — member 0 on a volume.  Prefer
-    {!geometry}/{!member_disk} in volume-aware code; this accessor keeps
-    single-disk tooling working. *)
-
-val volume : t -> Volume.t option
-(** The volume behind this stack, or [None] for a single disk. *)
+val volume : t -> Volume.t
+(** The volume behind this stack (one member for a plain disk). *)
 
 val members : t -> int
-(** Number of member devices (1 for a single disk). *)
+(** Number of member devices (1 for a plain disk). *)
 
 val member_disk : t -> int -> Disk.t
-(** Member [i]'s device.
-    @raise Invalid_argument if out of range (only 0 on a single disk). *)
+(** Member [i]'s device — [member_disk t 0] is a plain disk's device,
+    for tests that arm crashes on it.
+    @raise Invalid_argument if out of range. *)
 
 val geometry : t -> Geometry.t
-(** The logical geometry the file system should format: the disk's own on
-    a single-disk stack, {!Volume.geometry} on a volume. *)
+(** The logical geometry the file system should format:
+    {!Volume.geometry} — a plain disk's own geometry. *)
 
 val clock : t -> Clock.t
 val cpu : t -> Cpu_model.t
@@ -132,9 +124,8 @@ val bus : t -> Lfs_obs.Bus.t
     sink or subscriber is attached. *)
 
 val metrics : t -> Lfs_obs.Metrics.t
-(** The registry shared by the whole stack: [Disk.metrics (disk t)] on a
-    single disk, {!Volume.metrics} (shared by every member) on a
-    volume. *)
+(** The registry shared by the whole stack: {!Volume.metrics}, shared
+    by every member. *)
 
 (** {1 CPU accounting} *)
 
@@ -147,9 +138,12 @@ val charge_lookup : t -> unit
 
 val sync_read : t -> sector:int -> count:int -> bytes
 (** @raise Read_failed when the request still fails after the configured
-    number of attempts (see {!create}). *)
+    number of attempts (see {!of_volume}). *)
 
 val sync_write : t -> sector:int -> bytes -> unit
+(** @raise Invalid_argument unless the data is a positive multiple of the
+    sector size and lies inside the volume. *)
+
 val async_write : t -> sector:int -> bytes -> unit
 val drain : t -> unit
 (** Dispatch any queued requests and advance the clock until the device
@@ -180,8 +174,8 @@ val queue_depth : t -> int
 
 val disk_stats : t -> Disk.stats
 (** The sanctioned way for workloads and bench code to read device
-    counters without naming [Disk].  On a volume this is the aggregate
-    over all members (matching the shared [disk.*] registry counters). *)
+    counters without naming [Disk]: the registry's aggregate [disk.*]
+    counters, i.e. the sum over all members. *)
 
 val member_stats : t -> int -> Disk.stats
 (** {!disk_stats} for one member — the per-spindle view ([disk.<i>.*])
@@ -189,14 +183,16 @@ val member_stats : t -> int -> Disk.stats
 
 val snapshot_media : t -> bytes
 (** Copy of the underlying media — member media concatenated in member
-    order on a volume, so crash sweeps and replays are deterministic and
-    byte-comparable.  Queued writes on every member are dispatched first
+    order ({!Volume.snapshot}), so crash sweeps and replays are
+    deterministic and byte-comparable.  Queued writes on every member are dispatched first
     (without advancing the clock) so the snapshot reflects everything
     issued. *)
 
 val restore_media : t -> bytes -> unit
 (** Overwrite the media from a {!snapshot_media} image; every member's
-    head state is reset and any queued requests are discarded. *)
+    head state is reset and any queued requests are discarded.
+    @raise Invalid_argument if the image size does not match the
+    volume. *)
 
 val note_clustered_read : t -> blocks:int -> unit
 (** Account one multi-block read request that replaced [blocks]

@@ -490,35 +490,19 @@ let stats_of_instance ?(ops_run = 0) ?(faults = 0) inst =
   }
 
 let small_instance spec =
-  match spec.sc_volume with
-  | None -> (
-      match spec.sc_system with
-      | `Lfs ->
-          Setup.lfs ~disk_mb:16 ~cpu:Lfs_disk.Cpu_model.free
-            ~config:Lfs_core.Config.small ()
-      | `Ffs ->
-          Setup.ffs ~disk_mb:16 ~cpu:Lfs_disk.Cpu_model.free
-            ~config:Lfs_ffs.Config.small ())
-  | Some (policy, members) -> (
-      let io =
-        Setup.make_volume_io ~disk_mb:16 ~cpu:Lfs_disk.Cpu_model.free ~policy
-          ~members ()
-      in
-      match spec.sc_system with
-      | `Lfs -> Setup.lfs_on io ~config:Lfs_core.Config.small ()
-      | `Ffs -> Setup.ffs_on io ~config:Lfs_ffs.Config.small ())
+  let io =
+    Setup.make_io ~disk_mb:16 ~cpu:Lfs_disk.Cpu_model.free
+      ?volume:spec.sc_volume ()
+  in
+  match spec.sc_system with
+  | `Lfs -> Setup.lfs_on io ~config:Lfs_core.Config.small ()
+  | `Ffs -> Setup.ffs_on io ~config:Lfs_ffs.Config.small ()
 
 let engine_instance spec =
-  match spec.sc_volume with
-  | None -> (
-      match spec.sc_system with
-      | `Lfs -> Setup.lfs ~disk_mb:64 ()
-      | `Ffs -> Setup.ffs ~disk_mb:64 ())
-  | Some (policy, members) -> (
-      let io = Setup.make_volume_io ~disk_mb:64 ~policy ~members () in
-      match spec.sc_system with
-      | `Lfs -> Setup.lfs_on io ()
-      | `Ffs -> Setup.ffs_on io ())
+  let io = Setup.make_io ~disk_mb:64 ?volume:spec.sc_volume () in
+  match spec.sc_system with
+  | `Lfs -> Setup.lfs_on io ()
+  | `Ffs -> Setup.ffs_on io ()
 
 (* First violated user invariant, in declaration order. *)
 let run_invariants spec inst =

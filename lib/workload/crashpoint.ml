@@ -1,9 +1,7 @@
 (** Exhaustive crash-point recovery sweeps (see crashpoint.mli). *)
 
-module Clock = Lfs_disk.Clock
 module Cpu_model = Lfs_disk.Cpu_model
 module Faulty = Lfs_disk.Faulty
-module Geometry = Lfs_disk.Geometry
 module Io = Lfs_disk.Io
 module Fs_intf = Lfs_vfs.Fs_intf
 module Metrics = Lfs_obs.Metrics
@@ -42,17 +40,8 @@ let smallfile ?(files = 6) ?(size = 2048) () =
 
 type sys_state = L of Lfs_core.Fs.t | F of Lfs_ffs.Fs.t
 
-let make_io ?volume () =
-  let geometry = Geometry.wren_iv ~size_bytes:(16 * 1024 * 1024) in
-  match volume with
-  | None -> Io.of_geometry geometry (Clock.create ()) Cpu_model.free
-  | Some (policy, members) ->
-      Io.of_volume
-        (Lfs_disk.Volume.create policy ~members geometry)
-        (Clock.create ()) Cpu_model.free
-
 let start ?volume (sys : system) =
-  let io = make_io ?volume () in
+  let io = Setup.make_io ~disk_mb:16 ~cpu:Cpu_model.free ?volume () in
   match sys with
   | `Lfs -> (
       let config = Lfs_core.Config.small in

@@ -9,15 +9,18 @@ module Io = Lfs_disk.Io
 
 let default_disk_mb = 300
 
-let make_io ?(disk_mb = default_disk_mb) ?(cpu = Cpu_model.sun4_260) () =
+let make_io ?(disk_mb = default_disk_mb) ?(cpu = Cpu_model.sun4_260) ?volume
+    () =
   let geometry = Geometry.wren_iv ~size_bytes:(disk_mb * 1024 * 1024) in
-  Io.of_geometry geometry (Clock.create ()) cpu
+  match volume with
+  | None -> Io.of_geometry geometry (Clock.create ()) cpu
+  | Some (policy, members) ->
+      Io.of_volume
+        (Lfs_disk.Volume.create policy ~members geometry)
+        (Clock.create ()) cpu
 
-let make_volume_io ?(disk_mb = default_disk_mb) ?(cpu = Cpu_model.sun4_260)
-    ~policy ~members () =
-  let geometry = Geometry.wren_iv ~size_bytes:(disk_mb * 1024 * 1024) in
-  let volume = Lfs_disk.Volume.create policy ~members geometry in
-  Io.of_volume volume (Clock.create ()) cpu
+let make_volume_io ?disk_mb ?cpu ~policy ~members () =
+  make_io ?disk_mb ?cpu ~volume:(policy, members) ()
 
 let lfs_on io ?(config = Lfs_core.Config.default) () =
   (match Lfs_core.Fs.format io config with

@@ -4,7 +4,15 @@
 val default_disk_mb : int
 
 val make_io :
-  ?disk_mb:int -> ?cpu:Lfs_disk.Cpu_model.t -> unit -> Lfs_disk.Io.t
+  ?disk_mb:int ->
+  ?cpu:Lfs_disk.Cpu_model.t ->
+  ?volume:Lfs_disk.Volume.policy * int ->
+  unit ->
+  Lfs_disk.Io.t
+(** A fresh I/O stack on one WREN IV disk of [disk_mb], or with
+    [~volume:(policy, members)] on a {!Lfs_disk.Volume} of [members] such
+    disks (so striped logical capacity scales with the member count — the
+    §5 setup per spindle). *)
 
 val make_volume_io :
   ?disk_mb:int ->
@@ -13,9 +21,7 @@ val make_volume_io :
   members:int ->
   unit ->
   Lfs_disk.Io.t
-(** Like {!make_io}, but over a {!Lfs_disk.Volume} of [members] WREN IV
-    disks of [disk_mb] each (so striped logical capacity scales with the
-    member count — the §5 setup per spindle). *)
+(** [make_io ~volume:(policy, members)]. *)
 
 val lfs_on :
   Lfs_disk.Io.t ->
@@ -23,7 +29,7 @@ val lfs_on :
   unit ->
   Lfs_vfs.Fs_intf.instance
 (** Format and mount LFS on an existing I/O stack — how volume-backed
-    instances are built ({!make_volume_io}).  The file system sees only
+    instances are built ({!make_io} [~volume]).  The file system sees only
     [Io.geometry], so it runs unmodified on a volume. *)
 
 val ffs_on :

@@ -10,9 +10,7 @@ let small_geometry ?(size_bytes = 8 * 1024 * 1024) () =
   Geometry.wren_iv ~size_bytes
 
 let make_io ?(size_bytes = 8 * 1024 * 1024) ?(cpu = Cpu_model.free) () =
-  let disk = Disk.create (small_geometry ~size_bytes ()) in
-  let clock = Clock.create () in
-  Io.create disk clock cpu
+  Io.of_geometry (small_geometry ~size_bytes ()) (Clock.create ()) cpu
 
 let small_config = Lfs_core.Config.small
 

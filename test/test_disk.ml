@@ -122,16 +122,17 @@ let test_crash_while_down () =
 let test_snapshot_restore () =
   let d = Disk.create (geo ()) in
   ignore (Disk.write d ~sector:0 (Bytes.make 512 'A'));
-  let snap = Disk.snapshot d in
+  let snap = Bytes.create (Geometry.size_bytes (geo ()) + 512) in
+  Disk.snapshot_into d snap ~off:512;
   ignore (Disk.write d ~sector:0 (Bytes.make 512 'B'));
-  Disk.restore d snap;
+  Disk.restore_from d snap ~off:512;
   let got, _ = Disk.read d ~sector:0 ~count:1 in
   Alcotest.(check char) "restored" 'A' (Bytes.get got 0)
 
 let make_io () =
-  let d = Disk.create (geo ()) in
   let clock = Clock.create () in
-  (Io.create ~max_backlog_us:100_000 d clock Cpu_model.free, d, clock)
+  let io = Io.of_geometry ~max_backlog_us:100_000 (geo ()) clock Cpu_model.free in
+  (io, Io.member_disk io 0, clock)
 
 let test_io_sync_advances_clock () =
   let io, _, clock = make_io () in

@@ -60,10 +60,9 @@ let test_sequential_allocation () =
      read it back after a cache flush and count seeks. *)
   Fs.flush_caches fs;
   let io = Fs.io fs in
-  let disk = Io.disk io in
-  let before = (Lfs_disk.Disk.stats disk).Lfs_disk.Disk.seeks in
+  let before = (Io.disk_stats io).Lfs_disk.Disk.seeks in
   ignore (check_ok "read" (Fs.read fs "/f" ~off:0 ~len:(16 * 1024)));
-  let seeks = (Lfs_disk.Disk.stats disk).Lfs_disk.Disk.seeks - before in
+  let seeks = (Io.disk_stats io).Lfs_disk.Disk.seeks - before in
   Alcotest.(check bool)
     (Printf.sprintf "few seeks for sequential file (%d)" seeks)
     true (seeks <= 4)

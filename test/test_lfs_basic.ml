@@ -216,14 +216,14 @@ let test_writeback_age_trigger () =
      pushed to disk by ordinary activity, without any sync call. *)
   let fs = make_lfs () in
   let io = Fs.io fs in
-  let disk = Lfs_disk.Io.disk io in
+  let writes () = (Lfs_disk.Io.disk_stats io).Lfs_disk.Disk.writes in
   write_file fs "/aged" (pattern ~seed:21 3000);
-  let writes_before = (Lfs_disk.Disk.stats disk).Lfs_disk.Disk.writes in
+  let writes_before = writes () in
   (* 31 simulated seconds pass; a read then triggers housekeeping. *)
   Lfs_disk.Io.charge_cpu io 31_000_000;
   ignore (check_ok "read" (Fs.read fs "/aged" ~off:0 ~len:10));
   Alcotest.(check bool) "aged data flushed" true
-    ((Lfs_disk.Disk.stats disk).Lfs_disk.Disk.writes > writes_before)
+    (writes () > writes_before)
 
 let test_checkpoint_interval_trigger () =
   let fs = make_lfs () in

@@ -1,7 +1,8 @@
 (* The disk request scheduler: discipline selection policy (pure Sched),
    the queued-Io integration (reordering really changes serviced order,
    seeks and the sequential classification), write/read ordering safety,
-   the backlog throttle boundary, and the queue's bus events. *)
+   retry timing, the backlog throttle boundary, and the queue's bus
+   events. *)
 
 module Clock = Lfs_disk.Clock
 module Cpu_model = Lfs_disk.Cpu_model
@@ -11,6 +12,7 @@ module Io = Lfs_disk.Io
 module Sched = Lfs_disk.Sched
 module Bus = Lfs_obs.Bus
 module Event = Lfs_obs.Event
+module Scenario = Lfs_scenario.Scenario
 
 let geo () = Geometry.wren_iv ~size_bytes:(8 * 1024 * 1024)
 
@@ -100,9 +102,11 @@ let test_enqueue_validation () =
 (* --- queued Io: reordering, accounting, safety ----------------------- *)
 
 let make_io () =
-  let d = Disk.create (geo ()) in
   let clock = Clock.create () in
-  (Io.create ~max_backlog_us:10_000_000 d clock Cpu_model.free, d, clock)
+  let io =
+    Io.of_geometry ~max_backlog_us:10_000_000 (geo ()) clock Cpu_model.free
+  in
+  (io, Io.member_disk io 0, clock)
 
 let payload c = Bytes.make 4096 c
 
@@ -171,6 +175,38 @@ let test_policy_change_dispatches_pending () =
   Io.set_scheduler io None;
   Alcotest.(check bool) "reverted to immediate" true (Io.scheduler io = None)
 
+(* --- retry timing ----------------------------------------------------- *)
+
+(* A read that fails once is retried only after its backoff, with or
+   without a request queue: one transient failure costs the clean read
+   plus exactly the 1 ms first backoff. *)
+let test_retry_waits_out_backoff () =
+  let read_us discipline ~faulty =
+    let io, _, clock = make_io () in
+    Io.set_scheduler io discipline;
+    let read () = ignore (Io.sync_read io ~sector:4000 ~count:8 : bytes) in
+    (if faulty then begin
+       let (), inj =
+         Scenario.with_faults io
+           [ Scenario.Transient { rate = 1.0; burst = 1 } ]
+           read
+       in
+       Alcotest.(check int) "one fault injected" 1 inj.Scenario.inj_faults
+     end
+     else read ());
+    Clock.now_us clock
+  in
+  let clean = read_us None ~faulty:false in
+  List.iter
+    (fun (name, discipline) ->
+      Alcotest.(check int) (name ^ ": clean") clean
+        (read_us discipline ~faulty:false);
+      Alcotest.(check int)
+        (name ^ ": retried after its backoff")
+        (clean + 1_000)
+        (read_us discipline ~faulty:true))
+    [ ("immediate", None); ("fcfs", Some Sched.Fcfs) ]
+
 (* --- backlog throttle boundary --------------------------------------- *)
 
 (* Replay the same three writes against a bare disk to learn their exact
@@ -191,9 +227,10 @@ let test_backlog_boundary () =
   let sectors = [ 1000; 5000; 9000 ] in
   match service_times sectors with
   | [ s1; s2; s3 ] ->
-      let d = Disk.create (geo ()) in
       let clock = Clock.create () in
-      let io = Io.create ~max_backlog_us:(s1 + s2) d clock Cpu_model.free in
+      let io =
+        Io.of_geometry ~max_backlog_us:(s1 + s2) (geo ()) clock Cpu_model.free
+      in
       (* Exactly at the limit: the throttle is strict >, the caller does
          not wait. *)
       Io.async_write io ~sector:1000 (payload 'x');
@@ -265,6 +302,8 @@ let suite =
       test_read_your_writes_through_queue;
     Alcotest.test_case "policy change dispatches pending" `Quick
       test_policy_change_dispatches_pending;
+    Alcotest.test_case "retry waits out its backoff" `Quick
+      test_retry_waits_out_backoff;
     Alcotest.test_case "backlog throttle boundary" `Quick test_backlog_boundary;
     Alcotest.test_case "queue events on the bus" `Quick test_queue_bus_events;
   ]

@@ -1,15 +1,17 @@
 (* The multi-disk volume layer: the logical->member address map
-   (round-trip and boundary-crossing splits, property-tested), the
-   1-member-volume = bare-disk equivalence that pins the refactored
-   [Io] timing path, deterministic snapshot/restore on multi-member
-   stacks, and the mirror degraded-read failover. *)
+   (round-trip and boundary-crossing splits, property-tested on the pure
+   [Volume.Map]), the 1-member-volume = plain-disk equivalence that pins
+   the [Io] timing path, deterministic snapshot/restore on multi-member
+   stacks, the aggregate device counters, and the mirror degraded-read
+   failover. *)
 
 module Clock = Lfs_disk.Clock
 module Cpu_model = Lfs_disk.Cpu_model
-module Disk = Lfs_disk.Disk
 module Geometry = Lfs_disk.Geometry
 module Io = Lfs_disk.Io
 module Metrics = Lfs_obs.Metrics
+module Bus = Lfs_obs.Bus
+module Event = Lfs_obs.Event
 module Volume = Lfs_disk.Volume
 module Driver = Lfs_workload.Driver
 module Scenario = Lfs_scenario.Scenario
@@ -39,8 +41,8 @@ let map_case_gen =
              (Volume.Log_stripe { stripe_sectors = per_member * members }));
         ]
     in
-    let v = Volume.create policy ~members (geo ()) in
-    let cap = (Volume.geometry v).Geometry.sectors in
+    let map = Volume.Map.create policy ~members (geo ()) in
+    let cap = (Volume.Map.geometry map).Geometry.sectors in
     let* sector = int_bound (cap - 1) in
     let* count = int_range 1 (min 4096 (cap - sector)) in
     return (policy, members, sector, count))
@@ -54,13 +56,13 @@ let locate_roundtrip =
   QCheck.Test.make ~name:"locate/logical_of round-trip" ~count:300
     (QCheck.make ~print:map_case_print map_case_gen)
     (fun (policy, members, sector, _) ->
-      let v = Volume.create policy ~members (geo ()) in
-      let member, msec = Volume.locate v ~sector in
+      let map = Volume.Map.create policy ~members (geo ()) in
+      let member, msec = Volume.Map.locate map ~sector in
       if member < 0 || member >= members then
         QCheck.Test.fail_reportf "member %d out of range" member;
-      if msec < 0 || msec >= (Volume.member_geometry v).Geometry.sectors then
+      if msec < 0 || msec >= (geo ()).Geometry.sectors then
         QCheck.Test.fail_reportf "member sector %d out of range" msec;
-      Volume.logical_of v ~member ~msec = sector)
+      Volume.Map.logical_of map ~member ~msec = sector)
 
 (* Boundary-crossing requests split correctly: per-member runs are
    contiguous member ranges, their scatter/gather pieces tile the
@@ -69,8 +71,8 @@ let split_covers =
   QCheck.Test.make ~name:"map_write splits tile the request" ~count:300
     (QCheck.make ~print:map_case_print map_case_gen)
     (fun (policy, members, sector, count) ->
-      let v = Volume.create policy ~members (geo ()) in
-      let runs = Volume.map_write v ~sector ~count in
+      let map = Volume.Map.create policy ~members (geo ()) in
+      let runs = Volume.Map.map_write map ~sector ~count in
       let covered = Array.make count false in
       List.iter
         (fun (r : Volume.run) ->
@@ -92,7 +94,9 @@ let split_covers =
                   QCheck.Test.fail_reportf "logical offset %d covered twice"
                     (off + j);
                 covered.(off + j) <- true;
-                let m, msec = Volume.locate v ~sector:(sector + off + j) in
+                let m, msec =
+                  Volume.Map.locate map ~sector:(sector + off + j)
+                in
                 if
                   m <> r.Volume.member
                   || msec <> r.Volume.sector + !consumed + j
@@ -110,27 +114,34 @@ let split_covers =
 
 (* Mirrors: writes fan out whole-range to every member, reads pick one. *)
 let test_mirror_map () =
-  let v = Volume.create Volume.Mirror ~members:3 (geo ()) in
-  let runs = Volume.map_write v ~sector:100 ~count:10 in
+  let map = Volume.Map.create Volume.Mirror ~members:3 (geo ()) in
+  let runs = Volume.Map.map_write map ~sector:100 ~count:10 in
   Alcotest.(check int) "one run per member" 3 (List.length runs);
   List.iter
     (fun (r : Volume.run) ->
       Alcotest.(check int) "full range" 10 r.Volume.count;
       Alcotest.(check int) "at the logical sector" 100 r.Volume.sector)
     runs;
-  match Volume.map_read ~prefer:2 v ~sector:100 ~count:10 with
+  match Volume.Map.map_read ~prefer:2 map ~sector:100 ~count:10 with
   | [ r ] -> Alcotest.(check int) "read on preferred member" 2 r.Volume.member
   | l -> Alcotest.failf "mirror read split into %d runs" (List.length l)
 
 (* ------------------------------------------------------------------ *)
-(* 1-member volume = bare disk                                         *)
+(* 1-member volume = plain disk                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* The same LFS workload on a bare disk and on a 1-member striped
-   volume (awkward chunk) must end with byte-identical media and an
-   identical clock: the volume path is the single-disk path. *)
+(* The same LFS workload on a plain disk (the identity-mapped one-member
+   volume) and on a 1-member striped volume with an awkward chunk must
+   end with byte-identical media and an identical clock.  Neither stack
+   registers per-member [disk.0.*] counters or publishes [Volume_op]
+   events: a one-member volume looks exactly like a single disk. *)
 let test_single_member_lockstep () =
   let workload io =
+    let volume_ops =
+      Bus.attach
+        ~filter:(function Event.Volume_op _ -> true | _ -> false)
+        (Io.bus io)
+    in
     let inst = Setup.lfs_on io ~config:Lfs_core.Config.small () in
     for i = 0 to 39 do
       let path = Printf.sprintf "/f%02d" i in
@@ -141,6 +152,12 @@ let test_single_member_lockstep () =
     Driver.delete inst "/f03";
     Driver.sync inst;
     Driver.sanitize inst;
+    Alcotest.(check int) "no volume_op events" 0
+      (List.length (Bus.records volume_ops));
+    Alcotest.(check bool) "no per-member counters" false
+      (List.exists
+         (fun (name, _) -> String.starts_with ~prefix:"disk.0." name)
+         (Metrics.snapshot (Io.metrics io)));
     (Io.snapshot_media io, Io.now_us io)
   in
   let bare =
@@ -162,9 +179,9 @@ let test_single_member_lockstep () =
 
 let test_snapshot_restore_deterministic () =
   let io =
-    Setup.make_volume_io ~disk_mb:16 ~cpu:Cpu_model.free
-      ~policy:(Volume.Stripe { chunk_sectors = 64 })
-      ~members:3 ()
+    Setup.make_io ~disk_mb:16 ~cpu:Cpu_model.free
+      ~volume:(Volume.Stripe { chunk_sectors = 64 }, 3)
+      ()
   in
   let inst = Setup.lfs_on io ~config:Lfs_core.Config.small () in
   Driver.create inst "/a";
@@ -172,7 +189,7 @@ let test_snapshot_restore_deterministic () =
   Driver.sync inst;
   let snap = Io.snapshot_media io in
   Alcotest.(check int) "snapshot is the member concatenation"
-    (3 * (Volume.member_geometry (Option.get (Io.volume io))).Geometry.sectors
+    (3 * (Volume.member_geometry (Io.volume io)).Geometry.sectors
    * (geo ()).Geometry.sector_size)
     (Bytes.length snap);
   (* Diverge, restore, and the media must match the snapshot exactly;
@@ -194,6 +211,48 @@ let test_snapshot_restore_deterministic () =
         (match Driver.read inst "/b" ~off:0 ~len:1 with
         | exception _ -> true
         | _ -> false)
+
+(* ------------------------------------------------------------------ *)
+(* Aggregate device counters                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* [Io.disk_stats] reads the shared registry's aggregate [disk.*]
+   counters; on a striped volume they must equal the per-member sums. *)
+let test_disk_stats_is_member_sum () =
+  let io =
+    Setup.make_io ~disk_mb:16 ~cpu:Cpu_model.free
+      ~volume:(Volume.Stripe { chunk_sectors = 64 }, 3)
+      ()
+  in
+  let inst = Setup.lfs_on io ~config:Lfs_core.Config.small () in
+  for i = 0 to 29 do
+    let path = Printf.sprintf "/f%02d" i in
+    Driver.create inst path;
+    Driver.write inst path ~off:0 (Driver.content ~seed:i 7000);
+    if i mod 10 = 9 then Driver.sync inst
+  done;
+  Driver.flush_caches inst;
+  ignore (Driver.read inst "/f07" ~off:0 ~len:7000 : bytes);
+  let total = Io.disk_stats io in
+  let sum field =
+    List.fold_left ( + ) 0 (List.init 3 (fun i -> field (Io.member_stats io i)))
+  in
+  List.iter
+    (fun (name, field) ->
+      Alcotest.(check int) name (sum field) (field total))
+    [
+      ("reads", fun s -> s.Lfs_disk.Disk.reads);
+      ("writes", fun s -> s.Lfs_disk.Disk.writes);
+      ("sectors_read", fun s -> s.Lfs_disk.Disk.sectors_read);
+      ("sectors_written", fun s -> s.Lfs_disk.Disk.sectors_written);
+      ("seeks", fun s -> s.Lfs_disk.Disk.seeks);
+      ("busy_us", fun s -> s.Lfs_disk.Disk.busy_us);
+    ];
+  Alcotest.(check bool) "every member did work" true
+    (List.for_all
+       (fun i -> (Io.member_stats io i).Lfs_disk.Disk.writes > 0)
+       [ 0; 1; 2 ]);
+  Alcotest.(check bool) "reads reached the media" true (total.Lfs_disk.Disk.reads > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Mirror degraded reads                                               *)
@@ -235,6 +294,8 @@ let suite =
       test_single_member_lockstep;
     Alcotest.test_case "snapshot/restore deterministic on volumes" `Quick
       test_snapshot_restore_deterministic;
+    Alcotest.test_case "disk_stats is the member sum" `Quick
+      test_disk_stats_is_member_sum;
     Alcotest.test_case "mirror degraded read" `Quick
       test_mirror_degraded_read;
   ]
