@@ -19,14 +19,21 @@ module Fs = Lfs_core.Fs
 module Geometry = Lfs_disk.Geometry
 module Io = Lfs_disk.Io
 
-(* Both failure points raise [Sys_error "<path>: <reason>"]. *)
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      try really_input_string ic (in_channel_length ic)
-      with Sys_error e -> raise (Sys_error (path ^ ": " ^ e)))
+(* A host file named on the command line that cannot be read is a usage
+   error: one line and exit 2. *)
+let usage_error msg =
+  Printf.eprintf "lfstool: %s\n" msg;
+  exit 2
+
+let read_input path =
+  match open_in_bin path with
+  | exception Sys_error e -> usage_error e
+  | ic ->
+      Fun.protect
+        ~finally:(fun () -> close_in_noerr ic)
+        (fun () ->
+          try really_input_string ic (in_channel_length ic)
+          with Sys_error e -> usage_error (path ^ ": " ^ e))
 
 let write_file path contents =
   let oc = open_out_bin path in
@@ -38,23 +45,17 @@ let make_io ~size_bytes =
   Io.of_geometry (Geometry.wren_iv ~size_bytes) (Clock.create ()) Cpu_model.free
 
 (* An image that cannot be read, or whose size is not that of any disk,
-   is a usage error: one line and exit 2. *)
+   is a usage error. *)
 let load_image path =
-  let fail msg =
-    Printf.eprintf "lfstool: %s\n" msg;
-    exit 2
-  in
-  match read_file path with
-  | exception Sys_error e -> fail e
-  | media -> (
-      try
-        let io = make_io ~size_bytes:(String.length media) in
-        Io.restore_media io (Bytes.of_string media);
-        io
-      with Invalid_argument _ ->
-        fail
-          (Printf.sprintf "%s: %d bytes matches no disk geometry" path
-             (String.length media)))
+  let media = read_input path in
+  try
+    let io = make_io ~size_bytes:(String.length media) in
+    Io.restore_media io (Bytes.of_string media);
+    io
+  with Invalid_argument _ ->
+    usage_error
+      (Printf.sprintf "%s: %d bytes matches no disk geometry" path
+         (String.length media))
 
 let save_image io path =
   write_file path (Bytes.to_string (Io.snapshot_media io))
@@ -107,8 +108,8 @@ let cmd_cat image path =
   print_string (Bytes.to_string data)
 
 let cmd_put image path hostfile =
+  let data = read_input hostfile in
   let fs = mount_image image in
-  let data = read_file hostfile in
   if not (Fs.exists fs path) then or_die (Fs.create fs path);
   or_die (Fs.truncate fs path ~size:0);
   or_die (Fs.write fs path ~off:0 (Bytes.of_string data));
@@ -500,7 +501,7 @@ let cmd_profile workload files file_size file_mb tree json =
 (* Regression gate over lfs-bench/1 files. *)
 let cmd_benchdiff base_file cur_file tolerance gate json =
   let load file =
-    match Json.of_string_opt (read_file file) with
+    match Json.of_string_opt (read_input file) with
     | Some j -> j
     | None ->
         Printf.eprintf "lfstool: benchdiff: %s is not valid JSON\n" file;

@@ -6,16 +6,26 @@ module Metrics = Lfs_obs.Metrics
 
 type key = { owner : int; blkno : int }
 
+(* Dirty entries are also threaded on a circular doubly-linked list
+   through the cache's sentinel, newest dirtying first.  An entry joins
+   it whenever [dirty_since_us] is set and leaves it when it turns clean
+   or leaves the cache; an entry outside the list links to itself.  The
+   sentinel's [older] neighbour is the newest dirtying and its [newer]
+   neighbour wraps round to the oldest; the clock is monotone, so that
+   is always the longest-dirty entry. *)
 type entry = {
   data : bytes;
   mutable is_dirty : bool;
   mutable dirty_since_us : int;
+  mutable newer : entry;
+  mutable older : entry;
 }
 
 type t = {
   clock : Clock.t;
   bus : Bus.t option;
   entries : (key, entry) Lru.t;
+  dirty_order : entry;  (* sentinel of the dirty list *)
   capacity : int;
   mutable ndirty : int;
   c_hits : Metrics.counter;
@@ -23,6 +33,12 @@ type t = {
   c_evictions : Metrics.counter;
   c_writebacks : Metrics.counter;
 }
+
+let make_entry data ~dirty ~since =
+  let rec e =
+    { data; is_dirty = dirty; dirty_since_us = since; newer = e; older = e }
+  in
+  e
 
 let create ?(capacity_blocks = 4096) ?metrics ?bus clock =
   if capacity_blocks <= 0 then invalid_arg "Block_cache.create: capacity";
@@ -34,6 +50,7 @@ let create ?(capacity_blocks = 4096) ?metrics ?bus clock =
       clock;
       bus;
       entries = Lru.create ();
+      dirty_order = make_entry Bytes.empty ~dirty:false ~since:0;
       capacity = capacity_blocks;
       ndirty = 0;
       c_hits = Metrics.counter metrics "cache.hits";
@@ -101,12 +118,30 @@ let evict_clean_keeping keep t =
 
 let evict_clean t = evict_clean_keeping None t
 
+(* Dirty bookkeeping: [ndirty] and the dirty list change together. *)
+let link_dirty t e =
+  let s = t.dirty_order in
+  e.is_dirty <- true;
+  e.older <- s.older;
+  e.newer <- s;
+  s.older.newer <- e;
+  s.older <- e;
+  t.ndirty <- t.ndirty + 1
+
+let unlink_dirty t e =
+  e.is_dirty <- false;
+  e.older.newer <- e.newer;
+  e.newer.older <- e.older;
+  e.older <- e;
+  e.newer <- e;
+  t.ndirty <- t.ndirty - 1
+
 let insert t key ~dirty data =
   (match Lru.peek t.entries key with
-  | Some old -> if old.is_dirty then t.ndirty <- t.ndirty - 1
+  | Some old -> if old.is_dirty then unlink_dirty t old
   | None -> ());
-  let e = { data; is_dirty = dirty; dirty_since_us = Clock.now_us t.clock } in
-  if dirty then t.ndirty <- t.ndirty + 1;
+  let e = make_entry data ~dirty:false ~since:(Clock.now_us t.clock) in
+  if dirty then link_dirty t e;
   ignore (Lru.add t.entries key e);
   evict_clean_keeping (Some key) t
 
@@ -115,9 +150,8 @@ let mark_dirty t key =
   | None -> raise Not_found
   | Some e ->
       if not e.is_dirty then begin
-        e.is_dirty <- true;
         e.dirty_since_us <- Clock.now_us t.clock;
-        t.ndirty <- t.ndirty + 1
+        link_dirty t e
       end
 
 let mark_clean t key =
@@ -125,8 +159,7 @@ let mark_clean t key =
   | None -> ()
   | Some e ->
       if e.is_dirty then begin
-        e.is_dirty <- false;
-        t.ndirty <- t.ndirty - 1;
+        unlink_dirty t e;
         Metrics.incr t.c_writebacks;
         emit t (fun () ->
             Event.Cache_writeback { owner = key.owner; blkno = key.blkno })
@@ -135,7 +168,7 @@ let mark_clean t key =
 let remove t key =
   match Lru.remove t.entries key with
   | None -> ()
-  | Some e -> if e.is_dirty then t.ndirty <- t.ndirty - 1
+  | Some e -> if e.is_dirty then unlink_dirty t e
 
 let fold_dirty f t init =
   Lru.fold_lru
@@ -145,14 +178,9 @@ let fold_dirty f t init =
 let dirty_keys t = List.rev (fold_dirty (fun k _ acc -> k :: acc) t [])
 
 let oldest_dirty_age_us t =
-  let now = Clock.now_us t.clock in
-  Lru.fold
-    (fun _ e acc ->
-      if e.is_dirty then
-        let age = now - e.dirty_since_us in
-        match acc with Some a when a >= age -> acc | _ -> Some age
-      else acc)
-    t.entries None
+  let oldest = t.dirty_order.newer in
+  if oldest == t.dirty_order then None
+  else Some (Clock.now_us t.clock - oldest.dirty_since_us)
 
 let over_capacity t = t.ndirty > t.capacity
 
@@ -163,6 +191,8 @@ let drop_clean t =
 
 let clear t =
   Lru.clear t.entries;
+  t.dirty_order.newer <- t.dirty_order;
+  t.dirty_order.older <- t.dirty_order;
   t.ndirty <- 0
 
 let stats_hits t = Metrics.value t.c_hits

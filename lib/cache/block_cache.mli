@@ -15,7 +15,14 @@
     Dirty entries are never evicted — the file system must write them back
     (and {!mark_clean} them) first.  [insert] therefore only reclaims clean
     entries; when the cache overflows with dirty data, {!over_capacity}
-    turns true and the file system is expected to flush. *)
+    turns true and the file system is expected to flush.
+
+    Besides the LRU order, dirty entries sit in a second order: by the
+    time they became dirty (an [insert ~dirty:true], or a {!mark_dirty}
+    of a clean entry).  The simulated clock never runs backwards, so the
+    longest-dirty entry is always at the end of that order, and the
+    write-back age check every operation makes ({!oldest_dirty_age_us})
+    costs O(1) whatever the cache size. *)
 
 type t
 
@@ -51,10 +58,19 @@ val dirty : t -> key -> bool
 val insert : t -> key -> dirty:bool -> bytes -> unit
 (** Insert or replace a block, then reclaim clean LRU entries while over
     capacity.  The just-inserted block is never chosen as a victim, even
-    when every other entry is dirty. *)
+    when every other entry is dirty.
+
+    The cache keeps [data] itself, not a copy: the caller hands the
+    buffer over and must not change it later without re-inserting it or
+    calling {!mark_dirty}.  Re-inserting the buffer {!find} returned —
+    after editing it in place, as directory updates do — is allowed.
+    [~dirty:true] restarts the entry's dirty age even if it was already
+    dirty; [~dirty:false] makes it clean without counting a
+    write-back. *)
 
 val mark_dirty : t -> key -> unit
-(** @raise Not_found if the key is absent. *)
+(** Start the entry's dirty age unless it is already dirty.
+    @raise Not_found if the key is absent. *)
 
 val mark_clean : t -> key -> unit
 (** Called by write-back once the block is on disk (or queued to a
@@ -72,7 +88,8 @@ val dirty_keys : t -> key list
 
 val oldest_dirty_age_us : t -> int option
 (** Age of the longest-dirty entry, for the 30-second write-back
-    trigger. *)
+    trigger; [None] when nothing is dirty.  O(1): read off the end of
+    the dirty order, without walking the cache. *)
 
 val over_capacity : t -> bool
 (** True when dirty blocks alone keep the cache above capacity. *)

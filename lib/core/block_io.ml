@@ -56,10 +56,11 @@ let read_run (st : State.t) ~inum ~first_blkno ~addr ~n =
       ~count:(n * st.layout.Layout.block_sectors)
   in
   if n > 1 then Io.note_clustered_read st.io ~blocks:n;
+  (* A one-block run is cached as read: the caller only reads it. *)
   for i = 0 to n - 1 do
     Cache.insert st.cache
       (key_data ~inum ~blkno:(first_blkno + i))
       ~dirty:false
-      (Bytes.sub data (i * bs) bs)
+      (if n = 1 then data else Bytes.sub data (i * bs) bs)
   done;
   data

@@ -31,9 +31,10 @@ val read_run : State.t -> inum:int -> first_blkno:int -> addr:int -> n:int -> by
 (** Clustered read: fetch [n] physically contiguous blocks (logical
     blocks [first_blkno..first_blkno + n - 1] stored at
     [addr..addr + n - 1]) in a single disk request, caching each block
-    clean.  Returns the run's raw bytes.  The caller guarantees none of
-    the blocks is already cached (a dirty cached block must never be
-    clobbered with stale disk data) and none lives in the active
-    segment. *)
+    clean.  Returns the run's raw bytes, which the caller must not
+    mutate: a one-block run's buffer is the cache's own.  The caller
+    guarantees none of the blocks is already cached (a dirty cached
+    block must never be clobbered with stale disk data) and none lives
+    in the active segment. *)
 
 val sector_of_block : State.t -> int -> int

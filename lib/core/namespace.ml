@@ -12,30 +12,35 @@ let dir_entry (st : State.t) inum =
 let nblocks (st : State.t) (e : State.itable_entry) =
   Inode.nblocks ~block_size:st.layout.Layout.block_size e.ino
 
-let parse_block block = Dir_block.parse block
-
-let encode_block (st : State.t) entries =
-  Dir_block.encode ~block_size:st.layout.Layout.block_size entries
-
-let read_block (st : State.t) (e : State.itable_entry) blkidx =
+(* A directory block's bytes: the cache's own buffer, fetched (and
+   cached clean) on a miss, or [None] for a hole.  Lookups scan it and
+   updates edit it in place before re-inserting it dirty. *)
+let dir_block (st : State.t) (e : State.itable_entry) blkidx =
   let inum = e.ino.Inode.inum in
   match Lfs_cache.Block_cache.find st.cache (Block_io.key_data ~inum ~blkno:blkidx) with
-  | Some block -> parse_block block
+  | Some _ as hit -> hit
   | None ->
       let addr = Inode_store.bmap_read st e blkidx in
-      if addr = Layout.null_addr then []
-      else parse_block (Block_io.read_file_block st ~inum ~blkno:blkidx ~addr)
+      if addr = Layout.null_addr then None
+      else Some (Block_io.read_file_block st ~inum ~blkno:blkidx ~addr)
 
-let write_block (st : State.t) (e : State.itable_entry) blkidx entries =
+let read_block st e blkidx =
+  match dir_block st e blkidx with
+  | Some block -> Dir_block.parse block
+  | None -> []
+
+let write_block (st : State.t) (e : State.itable_entry) blkidx block =
   let inum = e.ino.Inode.inum in
   let bs = st.layout.Layout.block_size in
   Lfs_cache.Block_cache.insert st.cache
     (Block_io.key_data ~inum ~blkno:blkidx)
-    ~dirty:true (encode_block st entries);
+    ~dirty:true block;
   if (blkidx + 1) * bs > e.ino.Inode.size then
     e.ino.Inode.size <- (blkidx + 1) * bs;
   e.ino.Inode.mtime_us <- Io.now_us st.io;
   Inode_store.mark_dirty e
+
+let empty_block (st : State.t) = Bytes.make st.layout.Layout.block_size '\000'
 
 let lookup (st : State.t) ~dir name =
   let e = dir_entry st dir in
@@ -44,9 +49,12 @@ let lookup (st : State.t) ~dir name =
     if blk >= n then None
     else begin
       Io.charge_lookup st.io;
-      match List.assoc_opt name (read_block st e blk) with
-      | Some inum -> Some inum
-      | None -> scan (blk + 1)
+      let found =
+        match dir_block st e blk with
+        | Some block -> Dir_block.find block name
+        | None -> None
+      in
+      if Option.is_some found then found else scan (blk + 1)
     end
   in
   scan 0
@@ -56,14 +64,21 @@ let add (st : State.t) ~dir name inum =
     Errors.raise_ (Errors.Einval (Printf.sprintf "bad name %S" name));
   let e = dir_entry st dir in
   let n = nblocks st e in
-  let bs = st.layout.Layout.block_size in
   let rec place blk =
-    if blk >= n then write_block st e n [ (name, inum) ]
+    if blk >= n then begin
+      let block = empty_block st in
+      Dir_block.insert_front block name inum;
+      write_block st e n block
+    end
     else begin
       Io.charge_lookup st.io;
-      let entries = read_block st e blk in
-      if Dir_block.fits ~block_size:bs entries name then
-        write_block st e blk ((name, inum) :: entries)
+      let block =
+        match dir_block st e blk with Some b -> b | None -> empty_block st
+      in
+      if Dir_block.fits block name then begin
+        Dir_block.insert_front block name inum;
+        write_block st e blk block
+      end
       else place (blk + 1)
     end
   in
@@ -76,10 +91,9 @@ let remove (st : State.t) ~dir name =
     if blk >= n then Errors.raise_ (Errors.Enoent name)
     else begin
       Io.charge_lookup st.io;
-      let entries = read_block st e blk in
-      if List.mem_assoc name entries then
-        write_block st e blk (List.remove_assoc name entries)
-      else hunt (blk + 1)
+      match dir_block st e blk with
+      | Some block when Dir_block.remove block name -> write_block st e blk block
+      | Some _ | None -> hunt (blk + 1)
     end
   in
   hunt 0

@@ -11,22 +11,29 @@
     [`System]. *)
 
 val append :
+  ?off:int ->
   State.t ->
   privilege:State.privilege ->
   entry:Summary.entry ->
   live_bytes:int ->
   bytes ->
   int
-(** Append one block (exactly [block_size] bytes) to the log; returns its
-    disk block address.  Accounts [live_bytes] of live data to the
-    segment.  Flushes the active segment and claims a clean one as
-    needed.
+(** Append one block — the [block_size] bytes of [data] at [off]
+    (default 0) — to the log; returns its disk block address.  The block
+    is copied into the segment buffer, so the caller keeps [data] and may
+    pass a cache buffer or a slice of a larger read without copying it
+    first.  Accounts [live_bytes] of live data to the segment.  Flushes
+    the active segment and claims a clean one as needed.
     @raise Errors.Error [Enospc] when no segment is available at this
-    privilege. *)
+    privilege.
+    @raise Invalid_argument if [data] holds no whole block at [off]. *)
 
 val flush_active : State.t -> unit
 (** Write out the active segment (possibly partial) and close it; no-op
-    when the buffer is empty.  The write is asynchronous. *)
+    when the buffer is empty.  The write is asynchronous: the segment
+    buffer itself goes to {!Lfs_disk.Io.async_write} with the written
+    prefix's length, and is reused for the next segment once the call
+    returns (a queued lane copies the prefix it needs). *)
 
 val active_blocks : State.t -> int
 (** Payload blocks currently buffered. *)

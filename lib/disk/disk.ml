@@ -198,12 +198,13 @@ let read ?start_us t ~sector ~count =
   let ss = t.geometry.Geometry.sector_size in
   (Bytes.sub t.store (sector * ss) (count * ss), us)
 
-let write ?start_us t ~sector data =
+let write ?start_us ?len t ~sector data =
   if t.crashed then raise Crash;
   let ss = t.geometry.Geometry.sector_size in
-  if Bytes.length data = 0 || Bytes.length data mod ss <> 0 then
+  let len = Option.value len ~default:(Bytes.length data) in
+  if len <= 0 || len mod ss <> 0 || len > Bytes.length data then
     invalid_arg "Disk.write: data must be a positive multiple of sector size";
-  let count = Bytes.length data / ss in
+  let count = len / ss in
   check_range t sector count;
   (match t.fault_hook with
   | Some h -> (

@@ -107,10 +107,10 @@ val read : ?start_us:int -> t -> sector:int -> count:int -> bytes * int
     (zero positioning on exact continuation — the historical model).
     @raise Invalid_argument if out of range. *)
 
-val write : ?start_us:int -> t -> sector:int -> bytes -> int
-(** [write t ~sector data] writes [data] (whose length must be a multiple
-    of the sector size) and returns the service time.  [start_us] as in
-    {!read}.
+val write : ?start_us:int -> ?len:int -> t -> sector:int -> bytes -> int
+(** [write t ~sector data] writes the first [len] bytes of [data]
+    (default: all of it; a positive multiple of the sector size) and
+    returns the service time.  [start_us] as in {!read}.
     @raise Crash if a crash point is reached (the write may be torn).
     @raise Invalid_argument if out of range or misaligned. *)
 

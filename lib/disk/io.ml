@@ -191,11 +191,12 @@ let read_with_retries t lane ~start ~sector ~count ~sync =
   in
   attempt 1 ~not_before:0
 
-(* Service one write on a lane from [start]. *)
-let write_at t lane ~start ~sync ~sector data =
-  let service_us = Disk.write ~start_us:start lane.l_disk ~sector data in
+(* Service one write of [data]'s first [len] bytes on a lane from
+   [start]. *)
+let write_at t lane ~start ~sync ~sector ~len data =
+  let service_us = Disk.write ~start_us:start ~len lane.l_disk ~sector data in
   record t ~kind:`Write ~sync ~sector
-    ~sectors:(Bytes.length data / sector_size t)
+    ~sectors:(len / sector_size t)
     ~service_us
     ~sequential:(Disk.last_was_streamed lane.l_disk);
   lane.l_busy_until_us <- start + service_us
@@ -212,8 +213,9 @@ let dispatch_entry t lane q (e : Sched.entry) =
   let payload =
     match e.Sched.kind with
     | `Write ->
+        let data = Option.get e.Sched.data in
         write_at t lane ~start:(start ()) ~sync:e.Sched.sync
-          ~sector:e.Sched.sector (Option.get e.Sched.data);
+          ~sector:e.Sched.sector ~len:(Bytes.length data) data;
         None
     | `Read ->
         Some
@@ -264,11 +266,11 @@ let enqueue t q ~kind ~sync ~sector ~count ~data =
 
 (* ---- scatter/gather over a volume run's piece map ---- *)
 
-(* Split a logical write into member runs and publish the logical op. *)
-let write_runs t ~op ~sector data =
+(* Split a logical write of [len] bytes into member runs and publish the
+   logical op. *)
+let write_runs t ~op ~sector ~len data =
   let ss = sector_size t in
-  let len = Bytes.length data in
-  if len = 0 || len mod ss <> 0 then
+  if len <= 0 || len mod ss <> 0 || len > Bytes.length data then
     invalid_arg "Io: write data must be a positive multiple of sector size";
   let count = len / ss in
   let runs = Volume.Map.map_write (Volume.map t.volume) ~sector ~count in
@@ -276,12 +278,12 @@ let write_runs t ~op ~sector data =
   runs
 
 (* Assemble the member-contiguous payload of one write run from the
-   logical request buffer.  A run as long as the request covers it in
-   order (a plain disk, a mirror replica, a request inside one chunk), so
-   the original buffer is returned as-is — callers that enqueue must copy
-   it then. *)
-let gather ~ss data run =
-  if run.Volume.count * ss = Bytes.length data then data
+   logical request, the first [len] bytes of [data].  A run as long as
+   the request covers it in order (a plain disk, a mirror replica, a
+   request inside one chunk), so the original buffer is returned as-is —
+   callers that enqueue must copy its prefix then. *)
+let gather ~ss ~len data run =
+  if run.Volume.count * ss = len then data
   else begin
     let out = Bytes.create (run.Volume.count * ss) in
     let pos = ref 0 in
@@ -321,7 +323,9 @@ let lane_read_run t lane ~sector ~count ~sync =
    owned by the caller). *)
 let lane_sync_write_run t lane ~sector data =
   match lane.l_sched with
-  | None -> write_at t lane ~start:(start_time t lane) ~sync:true ~sector data
+  | None ->
+      write_at t lane ~start:(start_time t lane) ~sync:true ~sector
+        ~len:(Bytes.length data) data
   | Some q ->
       let count = Bytes.length data / sector_size t in
       let e =
@@ -330,16 +334,19 @@ let lane_sync_write_run t lane ~sector data =
       in
       ignore (dispatch_until t lane q ~id:e.Sched.id : bytes option)
 
-(* One asynchronous write run on one lane.  [owned] says whether [data]
-   may be handed to the queue without copying. *)
-let lane_async_write_run t lane ~sector ~owned data =
+(* One asynchronous write run of [data]'s first [len] bytes on one lane.
+   [owned] says whether [data] (then exactly [len] bytes) may be handed
+   to the queue without copying. *)
+let lane_async_write_run t lane ~sector ~owned ~len data =
   match lane.l_sched with
-  | None -> write_at t lane ~start:(start_time t lane) ~sync:false ~sector data
+  | None ->
+      write_at t lane ~start:(start_time t lane) ~sync:false ~sector ~len data
   | Some q ->
-      let count = Bytes.length data / sector_size t in
-      (* The queue owns the payload from here: copy so a caller reusing
-         its buffer cannot retroactively change a pending write. *)
-      let payload = if owned then data else Bytes.copy data in
+      let count = len / sector_size t in
+      (* The queue owns the payload from here: copy exactly the prefix so
+         a caller reusing its buffer cannot retroactively change a pending
+         write. *)
+      let payload = if owned then data else Bytes.sub data 0 len in
       let (_ : Sched.entry) =
         enqueue t q ~kind:`Write ~sync:false ~sector ~count
           ~data:(Some payload)
@@ -435,23 +442,26 @@ let sync_write t ~sector data =
     List.iter
       (fun (r : Volume.run) ->
         let lane = t.lanes.(r.Volume.member) in
-        lane_sync_write_run t lane ~sector:r.Volume.sector (gather ~ss data r);
+        lane_sync_write_run t lane ~sector:r.Volume.sector
+          (gather ~ss ~len:(Bytes.length data) data r);
         finish := max !finish lane.l_busy_until_us)
-      (write_runs t ~op:"write" ~sector data);
+      (write_runs t ~op:"write" ~sector ~len:(Bytes.length data) data);
     Clock.advance_to_us t.clock !finish
   in
   if Bus.enabled t.bus then Bus.with_span t.bus "io_write" go else go ()
 
-let async_write t ~sector data =
+let async_write ?len t ~sector data =
+  let len = Option.value len ~default:(Bytes.length data) in
   let go () =
     let ss = sector_size t in
     List.iter
       (fun (r : Volume.run) ->
-        let payload = gather ~ss data r in
+        let payload = gather ~ss ~len data r in
         lane_async_write_run t
           t.lanes.(r.Volume.member)
-          ~sector:r.Volume.sector ~owned:(payload != data) payload)
-      (write_runs t ~op:"write_async" ~sector data);
+          ~sector:r.Volume.sector ~owned:(payload != data)
+          ~len:(r.Volume.count * ss) payload)
+      (write_runs t ~op:"write_async" ~sector ~len data);
     (* Writer throttling: the application may run ahead of the disk only
        by the write-buffer depth — measured against the slowest member. *)
     if max_busy t - Clock.now_us t.clock > t.max_backlog_us then

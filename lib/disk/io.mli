@@ -144,7 +144,17 @@ val sync_write : t -> sector:int -> bytes -> unit
 (** @raise Invalid_argument unless the data is a positive multiple of the
     sector size and lies inside the volume. *)
 
-val async_write : t -> sector:int -> bytes -> unit
+val async_write : ?len:int -> t -> sector:int -> bytes -> unit
+(** [async_write ?len t ~sector data] writes the first [len] bytes of
+    [data] (default: all of it; a positive multiple of the sector size).
+    The caller keeps ownership of [data] and may reuse the buffer as soon
+    as the call returns: an immediate lane writes it through at once, and
+    a queued lane copies exactly the [len]-byte prefix it needs, because
+    the queue must own its payload.
+    @raise Invalid_argument if [len] is not a positive multiple of the
+    sector size, exceeds [data], or the request lies outside the
+    volume. *)
+
 val drain : t -> unit
 (** Dispatch any queued requests and advance the clock until the device
     is idle. *)

@@ -357,27 +357,36 @@ let dir_entry_of t inum =
 let dir_nblocks t (e : entry) =
   Inode.nblocks ~block_size:t.layout.Layout.block_size e.ino
 
-let read_dir_block t (e : entry) blk =
+(* A directory block's bytes: the cache's own buffer, read (and cached
+   clean) on a miss, or [None] for a hole.  Lookups scan it and updates
+   edit it in place before writing it back. *)
+let dir_block t (e : entry) blk =
   let inum = e.ino.Inode.inum in
   match Cache.find t.cache (key_data ~inum ~blkno:blk) with
-  | Some block -> Dir_block.parse block
+  | Some _ as hit -> hit
   | None ->
       let addr = bmap_read t e blk in
-      if addr = Layout.null_addr then []
+      if addr = Layout.null_addr then None
       else begin
         let block =
           Io.sync_read t.io ~sector:(sector_of_block t addr)
             ~count:t.layout.Layout.block_sectors
         in
         Cache.insert t.cache (key_data ~inum ~blkno:blk) ~dirty:false block;
-        Dir_block.parse block
+        Some block
       end
+
+let read_dir_block t e blk =
+  match dir_block t e blk with
+  | Some block -> Dir_block.parse block
+  | None -> []
+
+let empty_dir_block t = Bytes.make t.layout.Layout.block_size '\000'
 
 (* Writing a directory block on the create/delete path is synchronous —
    the behaviour the paper blames for coupling FFS to disk latency. *)
-let write_dir_block t (e : entry) blk entries ~sync_write =
+let write_dir_block t (e : entry) blk block ~sync_write =
   let inum = e.ino.Inode.inum in
-  let block = Dir_block.encode ~block_size:t.layout.Layout.block_size entries in
   let addr = bmap_alloc t e blk in
   if sync_write then begin
     trace_sync_write t.io ~what:"directory" ~sector:(sector_of_block t addr)
@@ -400,9 +409,12 @@ let dir_lookup t ~dir fname =
     if blk >= n then None
     else begin
       Io.charge_lookup t.io;
-      match List.assoc_opt fname (read_dir_block t e blk) with
-      | Some inum -> Some inum
-      | None -> scan (blk + 1)
+      let found =
+        match dir_block t e blk with
+        | Some block -> Dir_block.find block fname
+        | None -> None
+      in
+      if Option.is_some found then found else scan (blk + 1)
     end
   in
   scan 0
@@ -412,14 +424,21 @@ let dir_add t ~dir fname inum ~sync_write =
     Errors.raise_ (Errors.Einval (Printf.sprintf "bad name %S" fname));
   let e = dir_entry_of t dir in
   let n = dir_nblocks t e in
-  let bs = t.layout.Layout.block_size in
   let rec place blk =
-    if blk >= n then write_dir_block t e n [ (fname, inum) ] ~sync_write
+    if blk >= n then begin
+      let block = empty_dir_block t in
+      Dir_block.insert_front block fname inum;
+      write_dir_block t e n block ~sync_write
+    end
     else begin
       Io.charge_lookup t.io;
-      let entries = read_dir_block t e blk in
-      if Dir_block.fits ~block_size:bs entries fname then
-        write_dir_block t e blk ((fname, inum) :: entries) ~sync_write
+      let block =
+        match dir_block t e blk with Some b -> b | None -> empty_dir_block t
+      in
+      if Dir_block.fits block fname then begin
+        Dir_block.insert_front block fname inum;
+        write_dir_block t e blk block ~sync_write
+      end
       else place (blk + 1)
     end
   in
@@ -432,10 +451,10 @@ let dir_remove t ~dir fname ~sync_write =
     if blk >= n then Errors.raise_ (Errors.Enoent fname)
     else begin
       Io.charge_lookup t.io;
-      let entries = read_dir_block t e blk in
-      if List.mem_assoc fname entries then
-        write_dir_block t e blk (List.remove_assoc fname entries) ~sync_write
-      else hunt (blk + 1)
+      match dir_block t e blk with
+      | Some block when Dir_block.remove block fname ->
+          write_dir_block t e blk block ~sync_write
+      | Some _ | None -> hunt (blk + 1)
     end
   in
   hunt 0
@@ -622,7 +641,8 @@ let read_file_block t ~inum ~blkno ~addr =
       block
 
 (* Clustered read: [n] physically contiguous blocks in one disk request,
-   each cached clean. *)
+   each cached clean.  A one-block run's buffer is cached as read, so the
+   caller must only read the returned bytes. *)
 let read_run t ~inum ~first_blkno ~addr ~n =
   let bs = t.layout.Layout.block_size in
   let data =
@@ -634,7 +654,7 @@ let read_run t ~inum ~first_blkno ~addr ~n =
     Cache.insert t.cache
       (key_data ~inum ~blkno:(first_blkno + i))
       ~dirty:false
-      (Bytes.sub data (i * bs) bs)
+      (if n = 1 then data else Bytes.sub data (i * bs) bs)
   done;
   data
 
@@ -1231,7 +1251,7 @@ let repair t =
           try read_dir_block t e blk
           with Lfs_util.Codec.Error _ | Io.Read_failed _ ->
             note "inum %d: salvaged torn directory block %d" dir blk;
-            write_dir_block t e blk [] ~sync_write:false;
+            write_dir_block t e blk (empty_dir_block t) ~sync_write:false;
             []
         in
         let keep, drop =
@@ -1245,7 +1265,9 @@ let repair t =
             (fun (name, inum) ->
               note "inum %d: pruned dangling entry %S -> inum %d" dir name inum)
             drop;
-          write_dir_block t e blk keep ~sync_write:false
+          write_dir_block t e blk
+            (Dir_block.encode ~block_size:l.Layout.block_size keep)
+            ~sync_write:false
         end;
         List.iter
           (fun (_, inum) ->

@@ -40,11 +40,14 @@ let push_front t node =
   (match t.head with Some h -> h.prev <- Some node | None -> t.tail <- Some node);
   t.head <- Some node
 
+(* Compare nodes, not options: a freshly built [Some node] is never
+   physically equal to [t.head]. *)
 let promote t node =
-  if t.head != Some node then begin
-    unlink t node;
-    push_front t node
-  end
+  match t.head with
+  | Some h when h == node -> ()
+  | Some _ | None ->
+      unlink t node;
+      push_front t node
 
 let find t k =
   match Hashtbl.find_opt t.table k with

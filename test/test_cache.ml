@@ -119,6 +119,107 @@ let test_insert_replaces_dirty () =
   Alcotest.(check int) "dirty again" 1 (Cache.dirty_count t);
   Alcotest.(check int) "no duplicates" 1 (Cache.length t)
 
+(* Random cache histories on an advancing clock, against a reference
+   model that keeps each dirty key's dirtying time.  The age of the
+   longest-dirty entry is a brute-force fold over the model, so the
+   cache's O(1) dirty order must agree with it after every step. *)
+type op =
+  | Insert of int * bool
+  | Mark_dirty of int
+  | Mark_clean of int
+  | Remove of int
+  | Drop_clean
+  | Clear
+
+let pp_op = function
+  | Insert (k, d) -> Printf.sprintf "insert %d ~dirty:%b" k d
+  | Mark_dirty k -> Printf.sprintf "mark_dirty %d" k
+  | Mark_clean k -> Printf.sprintf "mark_clean %d" k
+  | Remove k -> Printf.sprintf "remove %d" k
+  | Drop_clean -> "drop_clean"
+  | Clear -> "clear"
+
+let op_gen =
+  QCheck.Gen.(
+    let k = int_bound 11 in
+    frequency
+      [
+        (6, map2 (fun k d -> Insert (k, d)) k bool);
+        (3, map (fun k -> Mark_dirty k) k);
+        (3, map (fun k -> Mark_clean k) k);
+        (2, map (fun k -> Remove k) k);
+        (1, return Drop_clean);
+        (1, return Clear);
+      ])
+
+let prop_dirty_age =
+  QCheck.Test.make ~name:"cache dirty age matches brute force" ~count:300
+    QCheck.(
+      make
+        ~print:(fun steps ->
+          String.concat "; "
+            (List.map (fun (op, dt) -> Printf.sprintf "+%d %s" dt (pp_op op))
+               steps))
+        Gen.(
+          small_list
+            (map
+               (* Small clock steps, often zero, so dirtying times tie. *)
+               (fun (op, dt) -> (op, dt * 250))
+               (pair op_gen (int_bound 3)))))
+    (fun steps ->
+      let t, clock = make ~capacity_blocks:6 () in
+      let since : (Cache.key, int) Hashtbl.t = Hashtbl.create 16 in
+      let check () =
+        let now = Clock.now_us clock in
+        let expected =
+          Hashtbl.fold
+            (fun _ s acc ->
+              let age = now - s in
+              match acc with Some a when a >= age -> acc | _ -> Some age)
+            since None
+        in
+        let model_keys =
+          List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) since [])
+        in
+        Cache.oldest_dirty_age_us t = expected
+        && Cache.dirty_count t = Hashtbl.length since
+        && List.sort compare (Cache.dirty_keys t) = model_keys
+        && List.for_all (Cache.dirty t) model_keys
+      in
+      List.for_all
+        (fun (op, dt) ->
+          Clock.advance_us clock dt;
+          let now = Clock.now_us clock in
+          (match op with
+          | Insert (k, dirty) ->
+              Cache.insert t (key k 0) ~dirty (block 'x');
+              if dirty then Hashtbl.replace since (key k 0) now
+              else Hashtbl.remove since (key k 0)
+          | Mark_dirty k ->
+              if Cache.mem t (key k 0) then begin
+                Cache.mark_dirty t (key k 0);
+                if not (Hashtbl.mem since (key k 0)) then
+                  Hashtbl.replace since (key k 0) now
+              end
+              else
+                assert (
+                  try
+                    Cache.mark_dirty t (key k 0);
+                    false
+                  with Not_found -> true)
+          | Mark_clean k ->
+              Cache.mark_clean t (key k 0);
+              Hashtbl.remove since (key k 0)
+          | Remove k ->
+              Cache.remove t (key k 0);
+              Hashtbl.remove since (key k 0)
+          | Drop_clean -> Cache.drop_clean t
+          | Clear ->
+              Cache.clear t;
+              Hashtbl.reset since);
+          check ())
+        steps)
+
 let suite =
   [
     Alcotest.test_case "insert/find" `Quick test_insert_find;
@@ -132,4 +233,5 @@ let suite =
       test_insert_replaces_dirty;
     Alcotest.test_case "insert never evicts its own key" `Quick
       test_insert_never_evicts_self;
+    QCheck_alcotest.to_alcotest prop_dirty_age;
   ]

@@ -26,4 +26,5 @@ let () =
       ("scenario", Test_scenario.suite);
       ("trace", Test_trace.suite);
       ("misc", Test_misc.suite);
+      ("alloc", Test_alloc.suite);
     ]

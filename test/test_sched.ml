@@ -162,6 +162,26 @@ let test_read_your_writes_through_queue () =
   Alcotest.(check bytes) "read sees queued write" (payload 'R') got;
   Alcotest.(check int) "queue drained to the read" 0 (Io.queue_depth io)
 
+(* The queue owns its payload: an async write of a buffer's prefix,
+   queued behind FCFS, must write the bytes the buffer held at issue time
+   — exactly the prefix — even after the caller reuses the buffer, as the
+   segment writer does with its segment buffer. *)
+let test_queued_prefix_owned () =
+  let io, _, _ = make_io () in
+  Io.set_scheduler io (Some Sched.Fcfs);
+  let buf = Bytes.make (3 * 4096) 'o' in
+  Bytes.fill buf 4096 4096 'p';
+  Io.async_write io ~len:8192 ~sector:64 buf;
+  Alcotest.(check int) "write pending" 1 (Io.queue_depth io);
+  Bytes.fill buf 0 (Bytes.length buf) 'z';
+  Io.drain io;
+  Alcotest.(check bytes) "first block as issued" (payload 'o')
+    (Io.sync_read io ~sector:64 ~count:8);
+  Alcotest.(check bytes) "second block as issued" (payload 'p')
+    (Io.sync_read io ~sector:72 ~count:8);
+  Alcotest.(check bytes) "nothing past the prefix" (Bytes.make 4096 '\000')
+    (Io.sync_read io ~sector:80 ~count:8)
+
 let test_policy_change_dispatches_pending () =
   let io, _, _ = make_io () in
   Io.set_scheduler io (Some Sched.Fcfs);
@@ -300,6 +320,8 @@ let suite =
       test_reordering_sequential_flags;
     Alcotest.test_case "read-your-writes through the queue" `Quick
       test_read_your_writes_through_queue;
+    Alcotest.test_case "queued async write owns its prefix" `Quick
+      test_queued_prefix_owned;
     Alcotest.test_case "policy change dispatches pending" `Quick
       test_policy_change_dispatches_pending;
     Alcotest.test_case "retry waits out its backoff" `Quick

@@ -165,6 +165,28 @@ let test_crc32_slice () =
   let b = Bytes.of_string "xx123456789yy" in
   Alcotest.(check int32) "slice" 0xCBF43926l (Crc32.digest_bytes ~off:2 ~len:9 b)
 
+(* The bit-at-a-time definition of CRC-32, as the reference for the
+   table-driven digest over every offset, length and alignment. *)
+let crc32_bitwise b ~off ~len =
+  let crc = ref 0xFFFFFFFF in
+  for i = off to off + len - 1 do
+    crc := !crc lxor Char.code (Bytes.get b i);
+    for _ = 0 to 7 do
+      crc := if !crc land 1 <> 0 then 0xEDB88320 lxor (!crc lsr 1) else !crc lsr 1
+    done
+  done;
+  Int32.of_int (!crc lxor 0xFFFFFFFF)
+
+let prop_crc32_reference =
+  QCheck.Test.make ~name:"crc32 matches bitwise reference" ~count:300
+    QCheck.(triple (string_of_size (Gen.int_bound 100)) small_nat small_nat)
+    (fun (s, a, b) ->
+      let bytes = Bytes.of_string s in
+      let n = Bytes.length bytes in
+      let off = if n = 0 then 0 else a mod (n + 1) in
+      let len = if n - off = 0 then 0 else b mod (n - off + 1) in
+      Crc32.digest_bytes ~off ~len bytes = crc32_bitwise bytes ~off ~len)
+
 (* RNG *)
 
 let test_rng_determinism () =
@@ -315,6 +337,7 @@ let suite =
     qcheck prop_lru_model;
     Alcotest.test_case "crc32 vectors" `Quick test_crc32_vectors;
     Alcotest.test_case "crc32 slice" `Quick test_crc32_slice;
+    qcheck prop_crc32_reference;
     Alcotest.test_case "rng determinism" `Quick test_rng_determinism;
     Alcotest.test_case "rng bounds" `Quick test_rng_bounds;
     Alcotest.test_case "rng shuffle" `Quick test_rng_shuffle_permutes;
