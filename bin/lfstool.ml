@@ -14,7 +14,6 @@
 module Clock = Lfs_disk.Clock
 module Config = Lfs_core.Config
 module Cpu_model = Lfs_disk.Cpu_model
-module Disk = Lfs_disk.Disk
 module Fs = Lfs_core.Fs
 module Geometry = Lfs_disk.Geometry
 module Io = Lfs_disk.Io
@@ -305,7 +304,6 @@ module Bus = Lfs_obs.Bus
 module Event = Lfs_obs.Event
 module Json = Lfs_obs.Json
 module Metrics = Lfs_obs.Metrics
-module Profile = Lfs_obs.Profile
 module Benchdiff = Lfs_obs.Benchdiff
 module Driver = Lfs_workload.Driver
 module Setup = Lfs_workload.Setup
@@ -420,83 +418,52 @@ let cmd_trace image with_ffs limit ops =
           ops
   end
 
-(* Latency-attribution profiler: run a scratch workload on both systems
-   with a {!Lfs_obs.Profile} aggregator subscribed, and render the
-   per-operation attribution table (and span tree).  No image argument —
-   everything runs on fresh in-memory stacks.  Exits non-zero if any
-   operation's attribution columns fail to sum to its total within 1%
-   (they sum exactly by construction; the check guards the
-   instrumentation). *)
+(* Scratch-stack experiments: lfstool's profile, concurrency and
+   scaleout subcommands run an entry of the bench's experiment table
+   with parameters built from their flags.  A bad parameter is a usage
+   error (exit 2); a workload that fails, or a figure that breaks the
+   experiment's per-entry invariants, exits 1.  --json emits the figure
+   as an lfs-bench/1 document. *)
 
-let check_attribution label (rep : Profile.report) =
-  List.concat_map
-    (fun (s : Profile.op_stat) ->
-      let parts = s.cache_us + s.disk_us + s.cleaner_us + s.checkpoint_us in
-      let slack = max 1 (abs s.total_us / 100) in
-      if abs (parts - s.total_us) > slack then
-        [
-          Printf.sprintf
-            "%s %s: attribution %d us does not sum to total %d us" label s.op
-            parts s.total_us;
-        ]
-      else [])
-    rep.Profile.ops
+module Experiment = Lfs_workload.Experiment
+
+let run_experiment cmd exp ~json valid run =
+  (match valid with
+  | Ok () -> ()
+  | Error e -> usage_error (cmd ^ ": " ^ e));
+  let fail e =
+    Printf.eprintf "lfstool: %s: %s\n" cmd e;
+    exit 1
+  in
+  match run () with
+  | exception Driver.Benchmark_failure e -> fail e
+  | { Experiment.text; figure } ->
+      let figure = Option.value figure ~default:(Json.List []) in
+      if json then
+        print_string
+          (Json.to_string_pretty
+             (Experiment.document ~quick:false
+                [ (Experiment.name exp, figure) ]))
+      else print_string text;
+      Result.iter_error fail (Experiment.check ~claims:false exp figure)
 
 let cmd_profile workload files file_size file_mb tree json =
-  let run inst =
-    let prof = Profile.attach (Driver.bus inst) in
-    (match workload with
-    | "smallfile" ->
-        ignore (Lfs_workload.Smallfile.run ~nfiles:files ~file_size inst)
-    | "largefile" -> ignore (Lfs_workload.Largefile.run ~file_mb inst)
-    | "trace" ->
-        ignore
-          (Lfs_workload.Trace.replay inst (Lfs_workload.Trace.generate ()))
+  let module P = Experiment.Profile in
+  let workload =
+    match workload with
+    | "smallfile" -> P.Smallfile { files; file_size }
+    | "largefile" -> P.Largefile { file_mb }
+    | "trace" -> P.Trace
     | w ->
-        Printf.eprintf
-          "lfstool: profile: unknown workload %S (want smallfile, largefile \
-           or trace)\n"
-          w;
-        exit 2);
-    Driver.sanitize inst;
-    Profile.detach prof;
-    (Driver.label inst, Profile.report prof)
+        usage_error
+          (Printf.sprintf
+             "profile: unknown workload %S (want smallfile, largefile or \
+              trace)"
+             w)
   in
-  let reports = List.map run (Setup.both ()) in
-  let violations =
-    List.concat_map (fun (label, rep) -> check_attribution label rep) reports
-  in
-  if json then
-    print_endline
-      (Json.to_string_pretty
-         (Json.Obj
-            [
-              ("schema", Json.String "lfs-profile/1");
-              ("workload", Json.String workload);
-              ( "systems",
-                Json.List
-                  (List.map
-                     (fun (label, rep) ->
-                       match Profile.to_json rep with
-                       | Json.Obj fields ->
-                           Json.Obj (("system", Json.String label) :: fields)
-                       | j -> j)
-                     reports) );
-              ("clean", Json.Bool (violations = []));
-            ]))
-  else
-    List.iter
-      (fun (label, rep) ->
-        Printf.printf "%s %s profile (simulated us)\n" label workload;
-        print_string (Profile.render_ops rep);
-        if tree then begin
-          print_newline ();
-          print_string (Profile.render_tree rep)
-        end;
-        print_newline ())
-      reports;
-  List.iter (fun v -> Printf.eprintf "profile: %s\n" v) violations;
-  if violations <> [] then exit 1
+  let p = { P.workload; disk_mb = Setup.default_disk_mb; tree } in
+  run_experiment "profile" P.entry ~json (P.validate p) (fun () ->
+      P.run p)
 
 (* Regression gate over lfs-bench/1 files. *)
 let cmd_benchdiff base_file cur_file tolerance gate json =
@@ -531,6 +498,9 @@ let cmd_benchdiff base_file cur_file tolerance gate json =
 module Crashpoint = Lfs_workload.Crashpoint
 
 let cmd_crashtest json files size seed =
+  (* The workload deletes its first file, so it needs at least one. *)
+  if files < 1 || size < 0 then
+    usage_error "crashtest: --files must be at least 1 and --file-size >= 0";
   let ops = Crashpoint.smallfile ~files ~size () in
   let sweeps =
     [
@@ -664,206 +634,54 @@ let cmd_crashtest json files size seed =
   end;
   if violations <> [] then exit 1
 
-(* Concurrent multi-client engine: run N closed-loop clients against
-   scratch LFS and FFS stacks under a chosen disk-scheduling discipline
-   and report aggregate throughput plus latency percentiles.  Exits
-   non-zero if the per-client accounting does not add up. *)
-
-module Engine = Lfs_workload.Engine
 module Sched = Lfs_disk.Sched
 
 let cmd_concurrency clients ops discipline disk_mb per_client json =
-  let disc =
+  let discipline =
     match discipline with
     | "none" | "immediate" -> None
     | s -> (
         match Sched.discipline_of_string s with
         | Some d -> Some d
         | None ->
-            Printf.eprintf
-              "lfstool: concurrency: unknown discipline %S (want fcfs, scan, \
-               cscan or none)\n"
-              s;
-            exit 2)
+            usage_error
+              (Printf.sprintf
+                 "concurrency: unknown discipline %S (want fcfs, scan, cscan \
+                  or none)"
+                 s))
   in
-  let config =
-    {
-      Engine.default with
-      Engine.clients;
-      ops_per_client = ops;
-      discipline = disc;
-    }
-  in
-  let results =
-    List.map
-      (fun inst -> Engine.run ~config inst)
-      (Setup.both ~disk_mb ())
-  in
-  let violations =
-    List.concat_map
-      (fun (r : Engine.result) ->
-        let ops_sum =
-          List.fold_left
-            (fun acc (s : Engine.client_stat) -> acc + s.Engine.ops)
-            0 r.Engine.per_client
-        in
-        (if ops_sum <> r.Engine.total_ops then
-           [
-             Printf.sprintf "%s: per-client ops %d do not sum to total %d"
-               r.Engine.label ops_sum r.Engine.total_ops;
-           ]
-         else [])
-        @
-        if r.Engine.p50_us > r.Engine.p99_us then
-          [ Printf.sprintf "%s: p50 above p99" r.Engine.label ]
-        else [])
-      results
-  in
-  if json then
-    print_endline
-      (Json.to_string_pretty
-         (Json.Obj
-            [
-              ("schema", Json.String "lfs-concurrency/1");
-              ("clients", Json.Int clients);
-              ("ops_per_client", Json.Int ops);
-              ( "discipline",
-                Json.String
-                  (match disc with
-                  | Some d -> Sched.discipline_name d
-                  | None -> "immediate") );
-              ( "systems",
-                Json.List (List.map Engine.to_json results) );
-              ("clean", Json.Bool (violations = []));
-            ]))
-  else
-    List.iter
-      (fun (r : Engine.result) ->
-        Printf.printf
-          "%-4s %s  clients=%d ops=%d  %.1f ops/s  mean=%d us p50=%d us \
-           p99=%d us  qdepth=%.1f qwait=%d us pos=%d us\n"
-          r.Engine.label r.Engine.discipline r.Engine.clients
-          r.Engine.total_ops r.Engine.ops_per_sec
-          (int_of_float r.Engine.mean_us)
-          r.Engine.p50_us r.Engine.p99_us r.Engine.mean_queue_depth
-          (int_of_float r.Engine.mean_queue_wait_us)
-          (int_of_float r.Engine.mean_positioning_us);
-        if per_client then
-          List.iter
-            (fun (s : Engine.client_stat) ->
-              Printf.printf
-                "  client %2d: %4d ops  mean=%d us p50=%d us p99=%d us \
-                 max=%d us\n"
-                s.Engine.client s.Engine.ops
-                (int_of_float s.Engine.mean_us)
-                s.Engine.p50_us s.Engine.p99_us s.Engine.max_us)
-            r.Engine.per_client)
-      results;
-  List.iter (fun v -> Printf.eprintf "concurrency: %s\n" v) violations;
-  if violations <> [] then exit 1
-
-
-(* Scale-out demo: the bench `scaleout` figure's workload at CLI scale —
-   LFS and FFS writing small files over a striped (or mirrored) volume,
-   one row per member count, with per-member seek counts.  The always-on
-   sanitizer runs after every row. *)
+  let module C = Experiment.Concurrency in
+  let disciplines = [ discipline ] in
+  let p = { C.clients = [ clients ]; ops; disk_mb; disciplines; per_client } in
+  run_experiment "concurrency" C.entry ~json (C.validate p)
+    (fun () -> C.run p)
 
 let cmd_scaleout members_arg policy_arg files file_size json =
-  let member_counts =
+  let members =
     match
       List.map int_of_string_opt (String.split_on_char ',' members_arg)
     with
-    | l when l <> [] && List.for_all (fun o -> o <> None) l ->
-        List.map Option.get l
+    | l when List.for_all Option.is_some l -> List.map Option.get l
     | _ ->
-        Printf.eprintf "lfstool: scaleout: bad --members %S (want e.g. 1,2,4)\n"
-          members_arg;
-        exit 2
+        usage_error
+          (Printf.sprintf "scaleout: bad --members %S (want e.g. 1,2,4)"
+             members_arg)
   in
-  let segment_sectors = Config.default.Config.segment_size / 512 in
-  let policy_of_string = function
-    | "log_stripe" ->
-        (Lfs_disk.Volume.Log_stripe { stripe_sectors = segment_sectors },
-         segment_sectors)
-    | "stripe" -> (Lfs_disk.Volume.Stripe { chunk_sectors = 64 }, 0)
-    | "mirror" -> (Lfs_disk.Volume.Mirror, 0)
-    | other ->
-        Printf.eprintf
-          "lfstool: scaleout: unknown policy %S (want log_stripe, stripe or \
-           mirror)\n"
-          other;
-        exit 2
+  let module S = Experiment.Scaleout in
+  let policy =
+    match S.policy_of_string policy_arg with
+    | Some p -> p
+    | None ->
+        usage_error
+          (Printf.sprintf
+             "scaleout: unknown policy %S (want log_stripe, stripe or mirror)"
+             policy_arg)
   in
-  let policy, align = policy_of_string policy_arg in
-  let rows =
-    List.concat_map
-      (fun members ->
-        let run label mk =
-          let io =
-            Setup.make_io ~disk_mb:16 ~cpu:Cpu_model.free
-              ~volume:(policy, members) ()
-          in
-          let inst = mk io in
-          let seeks0 =
-            List.init members (fun i -> (Io.member_stats io i).Disk.seeks)
-          in
-          let t0 = Io.now_us io in
-          for i = 0 to files - 1 do
-            let path = Printf.sprintf "/f%05d" i in
-            Driver.create inst path;
-            Driver.write inst path ~off:0 (Driver.content ~seed:i file_size)
-          done;
-          Driver.sync inst;
-          let elapsed_us = max 1 (Io.now_us io - t0) in
-          let member_seeks =
-            List.map2 ( - )
-              (List.init members (fun i -> (Io.member_stats io i).Disk.seeks))
-              seeks0
-          in
-          Driver.sanitize inst;
-          let mbs =
-            float_of_int (files * file_size)
-            /. 1024.0 /. 1024.0
-            /. (float_of_int elapsed_us /. 1e6)
-          in
-          (label, members, mbs, List.fold_left max 0 member_seeks)
-        in
-        [
-          run "LFS" (fun io ->
-              let config =
-                { Config.default with Config.segment_align_sectors = align }
-              in
-              Setup.lfs_on io ~config ());
-          run "FFS" (fun io -> Setup.ffs_on io ());
-        ])
-      member_counts
+  let p =
+    { S.member_mb = 16; files; file_size; members; policies = [ policy ] }
   in
-  if json then
-    print_endline
-      (Json.to_string_pretty
-         (Json.Obj
-            [
-              ("schema", Json.String "lfs-scaleout/1");
-              ("policy", Json.String policy_arg);
-              ( "rows",
-                Json.List
-                  (List.map
-                     (fun (label, members, mbs, seeks) ->
-                       Json.Obj
-                         [
-                           ("label", Json.String label);
-                           ("members", Json.Int members);
-                           ("write_mb_per_sec", Json.Float mbs);
-                           ("seeks_per_member_max", Json.Int seeks);
-                         ])
-                     rows) );
-            ]))
-  else
-    List.iter
-      (fun (label, members, mbs, seeks) ->
-        Printf.printf "%-4s %-10s %d members: %6.2f MB/s  seeks/member max %d\n"
-          label policy_arg members mbs seeks)
-      rows
+  run_experiment "scaleout" S.entry ~json (S.validate p) (fun () ->
+      S.run p)
 
 (* Declarative scenario runner: one builder over op streams, engine
    runs, crash sweeps and read-back fault scenarios, with seed-managed
@@ -1019,6 +837,9 @@ let simple name doc f extra =
 
 let noarg name doc f = Cmd.v (Cmd.info name ~doc) Term.(const f $ image)
 
+let bench_json =
+  Arg.(value & flag & info [ "json" ] ~doc:"Emit the figure as lfs-bench/1.")
+
 let () =
   let cmds =
     [
@@ -1123,10 +944,6 @@ let () =
            value & flag
            & info [ "tree" ] ~doc:"Also print the aggregate span tree.")
        in
-       let json =
-         Arg.(
-           value & flag & info [ "json" ] ~doc:"Emit the report as JSON.")
-       in
        Cmd.v
          (Cmd.info "profile"
             ~doc:
@@ -1134,12 +951,13 @@ let () =
                latency-attribution profiler subscribed, and print \
                per-operation latency percentiles (simulated us) plus the \
                exclusive-time split across cache/CPU, disk, cleaner \
-               interference and checkpoints.  The four attribution \
-               columns sum to the operation's total; the tool exits \
-               non-zero if they do not (within 1%).  No image needed.")
+               interference and checkpoints: the bench profile figure \
+               with other workloads.  The four attribution columns sum to \
+               the operation's total; the tool exits non-zero if they do \
+               not (within 1%) or p50 exceeds p99.  No image needed.")
          Term.(
            const cmd_profile $ workload $ files $ file_size $ file_mb $ tree
-           $ json));
+           $ bench_json));
       (let base =
          Arg.(
            required & pos 0 (some string) None & info [] ~docv:"BASELINE")
@@ -1233,10 +1051,6 @@ let () =
            & info [ "per-client" ]
                ~doc:"Also print each client's latency percentiles.")
        in
-       let json =
-         Arg.(
-           value & flag & info [ "json" ] ~doc:"Emit the report as JSON.")
-       in
        Cmd.v
          (Cmd.info "concurrency"
             ~doc:
@@ -1245,11 +1059,13 @@ let () =
                Zipf-skewed op streams and think times, multiplexed over \
                one instance with a real disk request queue.  Reports \
                aggregate throughput, latency percentiles, queue depth \
-               and mean positioning time per system.  Exits non-zero if \
-               the per-client accounting does not add up.")
+               and mean positioning time per system: the bench \
+               concurrency figure at one client count and discipline.  \
+               Exits non-zero if the per-client accounting does not add \
+               up or p50 exceeds p99.")
          Term.(
            const cmd_concurrency $ clients $ ops $ discipline $ disk_mb
-           $ per_client $ json));
+           $ per_client $ bench_json));
       (let members =
          Arg.(
            value & opt string "1,2,4"
@@ -1273,10 +1089,6 @@ let () =
          Arg.(
            value & opt int 8192 & info [ "file-size" ] ~doc:"File size in bytes.")
        in
-       let json =
-         Arg.(
-           value & flag & info [ "json" ] ~doc:"Emit the report as JSON.")
-       in
        Cmd.v
          (Cmd.info "scaleout"
             ~doc:
@@ -1286,9 +1098,10 @@ let () =
                whole-segment writes split into one contiguous run per \
                member, so LFS bandwidth grows with the spindle count \
                while FFS stays pinned to single-disk latency — the bench \
-               scaleout figure at CLI scale.")
+               scaleout figure for one volume policy.")
          Term.(
-           const cmd_scaleout $ members $ policy $ files $ file_size $ json));
+           const cmd_scaleout $ members $ policy $ files $ file_size
+           $ bench_json));
       (let sys =
          Arg.(
            value & opt string "lfs"

@@ -282,35 +282,17 @@ let render_tree rep =
 
 (* ---------------- JSON ---------------- *)
 
-let json_of_op s =
-  Json.Obj
-    [
-      ("op", Json.String s.op);
-      ("count", Json.Int s.count);
-      ("total_us", Json.Int s.total_us);
-      ("mean_us", Json.Float s.mean_us);
-      ("p50_us", Json.Int s.p50_us);
-      ("p95_us", Json.Int s.p95_us);
-      ("p99_us", Json.Int s.p99_us);
-      ("cache_us", Json.Int s.cache_us);
-      ("disk_us", Json.Int s.disk_us);
-      ("cleaner_us", Json.Int s.cleaner_us);
-      ("checkpoint_us", Json.Int s.checkpoint_us);
-    ]
-
-let rec json_of_tree tr =
-  Json.Obj
-    [
-      ("name", Json.String tr.t_name);
-      ("count", Json.Int tr.t_count);
-      ("incl_us", Json.Int tr.t_incl_us);
-      ("excl_us", Json.Int tr.t_excl_us);
-      ("children", Json.List (List.map json_of_tree tr.t_children));
-    ]
-
-let to_json rep =
-  Json.Obj
-    [
-      ("ops", Json.List (List.map json_of_op rep.ops));
-      ("spans", Json.List (List.map json_of_tree rep.spans));
-    ]
+let op_fields s =
+  [
+    ("op", Json.String s.op);
+    ("count", Json.Int s.count);
+    ("total_us", Json.Int s.total_us);
+    ("mean_us", Json.Float s.mean_us);
+    ("p50_us", Json.Int s.p50_us);
+    ("p95_us", Json.Int s.p95_us);
+    ("p99_us", Json.Int s.p99_us);
+    ("cache_us", Json.Int s.cache_us);
+    ("disk_us", Json.Int s.disk_us);
+    ("cleaner_us", Json.Int s.cleaner_us);
+    ("checkpoint_us", Json.Int s.checkpoint_us);
+  ]

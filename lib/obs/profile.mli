@@ -82,4 +82,6 @@ val render_ops : report -> string
 
 val render_tree : report -> string
 
-val to_json : report -> Json.t
+val op_fields : op_stat -> (string * Json.t) list
+(** One row of the attribution table, as the fields of a bench figure
+    entry. *)

@@ -41,15 +41,20 @@ let readdir (Fs_intf.Instance ((module F), fs)) path =
 
 let exists (Fs_intf.Instance ((module F), fs)) path = F.exists fs path
 
-let sync (Fs_intf.Instance ((module F), fs)) = F.sync fs
-let flush_caches (Fs_intf.Instance ((module F), fs)) = F.flush_caches fs
+(* [sync] and [flush_caches] return unit, yet a full device can still
+   surface from them as a raised [Errors.Error]. *)
+let sync (Fs_intf.Instance ((module F), fs)) =
+  try F.sync fs with Errors.Error e -> fail "sync: %s" (Errors.to_string e)
+
+let flush_caches (Fs_intf.Instance ((module F), fs)) =
+  try F.flush_caches fs
+  with Errors.Error e -> fail "flush caches: %s" (Errors.to_string e)
 
 let integrity (Fs_intf.Instance ((module F), fs)) = F.integrity fs
 
 let sanitize inst =
-  let (Fs_intf.Instance ((module F), fs)) = inst in
-  F.sync fs;
-  match F.integrity fs with
+  sync inst;
+  match integrity inst with
   | [] -> ()
   | issues ->
       fail "%s: post-run integrity check failed:\n  %s" (label inst)

@@ -21,6 +21,7 @@ let () =
       ("ffs-alloc", Test_ffs_alloc.suite);
       ("readahead", Test_readahead.suite);
       ("workload", Test_workload.suite);
+      ("experiment", Test_experiment.suite);
       ("engine", Test_engine.suite);
       ("crashpoint", Test_crashpoint.suite);
       ("scenario", Test_scenario.suite);
