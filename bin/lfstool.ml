@@ -132,14 +132,19 @@ let cmd_info image =
   let fs = mount_image image in
   let layout = Fs.layout fs in
   Format.printf "%a@." Lfs_core.Layout.pp layout;
-  let stats = Fs.stats fs in
+  let count name =
+    Option.value ~default:0
+      (Lfs_obs.Metrics.counter_value
+         (Lfs_obs.Metrics.snapshot (Io.metrics (Fs.io fs)))
+         name)
+  in
   Printf.printf "clean segments : %d / %d\n" (Fs.clean_segment_count fs)
     layout.Lfs_core.Layout.nsegments;
   Printf.printf "live data      : %s\n"
     (Lfs_util.Table.fmt_bytes (Fs.live_bytes fs));
   Printf.printf "checkpoints    : %d, roll-forward segments: %d\n"
-    stats.Lfs_core.State.checkpoints
-    stats.Lfs_core.State.rollforward_segments
+    (count "lfs.checkpoints")
+    (count "lfs.rollforward_segments")
 
 let cmd_segments image =
   let fs = mount_image image in

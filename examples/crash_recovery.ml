@@ -36,7 +36,10 @@ let recover fs =
   let us = Io.now_us (Fs.io fs) - t0 in
   Printf.printf "  (recovery took %.2f ms of simulated time, %d segments replayed)\n"
     (float_of_int us /. 1000.0)
-    (Fs.stats fs').Lfs_core.State.rollforward_segments;
+    (Option.value ~default:0
+       (Lfs_obs.Metrics.counter_value
+          (Lfs_obs.Metrics.snapshot (Io.metrics (Fs.io fs')))
+          "lfs.rollforward_segments"));
   fs'
 
 let () =

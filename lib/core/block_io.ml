@@ -4,8 +4,6 @@ module Io = Lfs_disk.Io
 let key_data ~inum ~blkno = { Cache.owner = inum; blkno }
 let key_raw addr = { Cache.owner = State.owner_raw; blkno = addr }
 
-let sector_of_block (st : State.t) addr = Layout.sector_of_block st.layout addr
-
 let in_active_segment (st : State.t) addr =
   let seg = st.seg in
   seg.seg >= 0
@@ -16,51 +14,26 @@ let in_active_segment (st : State.t) addr =
   in
   addr >= payload_first && addr < payload_first + seg.nblocks
 
-let copy_from_active (st : State.t) addr =
-  let first = Layout.segment_first_block st.layout st.seg.seg in
-  let bs = st.layout.Layout.block_size in
-  Bytes.sub st.seg.buf ((addr - first) * bs) bs
+let read_disk (st : State.t) addr ~n =
+  Io.sync_read st.io
+    ~sector:(Layout.sector_of_block st.layout addr)
+    ~count:(n * st.layout.Layout.block_sectors)
 
-(* Fetch one block from the active segment or the disk and cache it
-   clean.  The caller has already missed in the cache. *)
-let fetch_at (st : State.t) key addr =
-  let data =
-    if in_active_segment st addr then copy_from_active st addr
-    else
-      Io.sync_read st.io
-        ~sector:(sector_of_block st addr)
-        ~count:st.layout.Layout.block_sectors
-  in
-  Cache.insert st.cache key ~dirty:false data;
-  data
+let fetch (st : State.t) addr =
+  if in_active_segment st addr then begin
+    let first = Layout.segment_first_block st.layout st.seg.seg in
+    let bs = st.layout.Layout.block_size in
+    Bytes.sub st.seg.buf ((addr - first) * bs) bs
+  end
+  else read_disk st addr ~n:1
 
-let read_at (st : State.t) key addr =
+let read_raw (st : State.t) addr =
   if addr = Layout.null_addr then
-    invalid_arg "Block_io.read: null block address";
+    invalid_arg "Block_io.read_raw: null block address";
+  let key = key_raw addr in
   match Cache.find st.cache key with
   | Some data -> data
-  | None -> fetch_at st key addr
-
-let read_raw st addr = read_at st (key_raw addr) addr
-
-let read_file_block st ~inum ~blkno ~addr = read_at st (key_data ~inum ~blkno) addr
-
-let fetch_file_block st ~inum ~blkno ~addr =
-  fetch_at st (key_data ~inum ~blkno) addr
-
-let read_run (st : State.t) ~inum ~first_blkno ~addr ~n =
-  let bs = st.layout.Layout.block_size in
-  let data =
-    Io.sync_read st.io
-      ~sector:(sector_of_block st addr)
-      ~count:(n * st.layout.Layout.block_sectors)
-  in
-  if n > 1 then Io.note_clustered_read st.io ~blocks:n;
-  (* A one-block run is cached as read: the caller only reads it. *)
-  for i = 0 to n - 1 do
-    Cache.insert st.cache
-      (key_data ~inum ~blkno:(first_blkno + i))
-      ~dirty:false
-      (if n = 1 then data else Bytes.sub data (i * bs) bs)
-  done;
-  data
+  | None ->
+      let data = fetch st addr in
+      Cache.insert st.cache key ~dirty:false data;
+      data

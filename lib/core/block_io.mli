@@ -1,9 +1,11 @@
-(** Block reads through the file cache.
+(** Block access below the file cache.
 
-    A read first consults the cache, then the active in-memory segment
-    (blocks recently appended to the log may not have reached the disk
-    yet), and finally the disk.  Disk reads are synchronous — the reader
-    waits — and the block is inserted into the cache clean. *)
+    A block recently appended to the log may still sit in the segment
+    being assembled in memory rather than on the disk, so a fetch first
+    consults the active segment and only then the disk.  Disk reads are
+    synchronous — the reader waits.  File blocks go through the shared
+    block-file layer ({!Block_file}); this module serves it and the
+    by-address metadata blocks. *)
 
 val key_data : inum:int -> blkno:int -> Lfs_cache.Block_cache.key
 (** Cache key for a logical file block. *)
@@ -15,26 +17,15 @@ val in_active_segment : State.t -> int -> bool
 (** Whether a block address falls inside the segment currently being
     assembled in memory. *)
 
+val read_disk : State.t -> int -> n:int -> bytes
+(** [read_disk st addr ~n]: the [n] blocks at [addr..addr + n - 1] in one
+    disk request. *)
+
+val fetch : State.t -> int -> bytes
+(** One block, as fresh bytes: copied from the active segment if it is
+    there, read from the disk otherwise.  Does not touch the cache. *)
+
 val read_raw : State.t -> int -> bytes
-(** Read the block at a disk address.  @raise Invalid_argument on the
-    null address. *)
-
-val read_file_block : State.t -> inum:int -> blkno:int -> addr:int -> bytes
-(** Read a file's logical block stored at [addr], caching it under the
-    file key. *)
-
-val fetch_file_block : State.t -> inum:int -> blkno:int -> addr:int -> bytes
-(** Like {!read_file_block} but without the cache lookup: for callers
-    that already missed and would otherwise double-count the miss. *)
-
-val read_run : State.t -> inum:int -> first_blkno:int -> addr:int -> n:int -> bytes
-(** Clustered read: fetch [n] physically contiguous blocks (logical
-    blocks [first_blkno..first_blkno + n - 1] stored at
-    [addr..addr + n - 1]) in a single disk request, caching each block
-    clean.  Returns the run's raw bytes, which the caller must not
-    mutate: a one-block run's buffer is the cache's own.  The caller
-    guarantees none of the blocks is already cached (a dirty cached
-    block must never be clobbered with stale disk data) and none lives
-    in the active segment. *)
-
-val sector_of_block : State.t -> int -> int
+(** Read the block at a disk address through the cache, caching it clean
+    under {!key_raw} on a miss.  @raise Invalid_argument on the null
+    address. *)

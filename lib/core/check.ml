@@ -1,3 +1,11 @@
+(* An allocated inode that does not load — its inode-map entry is stale
+   or its inode block clobbered — is reported by [fsck], not fatal. *)
+let load (st : State.t) inum =
+  match Inode_store.find st inum with
+  | e -> Ok e
+  | exception Lfs_vfs.Errors.Error e -> Error (Lfs_vfs.Errors.to_string e)
+  | exception Lfs_util.Codec.Error reason -> Error reason
+
 let recompute_usage (st : State.t) =
   let layout = st.layout in
   let bs = layout.Layout.block_size in
@@ -13,18 +21,20 @@ let recompute_usage (st : State.t) =
       (match Imap.location st.imap inum with
       | Some (addr, _slot) -> add addr Layout.inode_bytes
       | None -> ());
-      let e = Inode_store.find st inum in
-      let nblocks = Inode.nblocks ~block_size:bs e.State.ino in
-      for blkno = 0 to nblocks - 1 do
-        add (Inode_store.bmap_read st e blkno) bs
-      done;
-      add e.State.ino.Inode.indirect bs;
-      if e.State.ino.Inode.dindirect <> Layout.null_addr then begin
-        add e.State.ino.Inode.dindirect bs;
-        for child = 0 to Layout.ptrs_per_block layout - 1 do
-          add (Inode_store.dind_child_addr st e child) bs
-        done
-      end
+      match load st inum with
+      | Error _ -> ()
+      | Ok e ->
+          let nblocks = Inode.nblocks ~block_size:bs e.State.ino in
+          for blkno = 0 to nblocks - 1 do
+            add (Inode_store.bmap_read st e blkno) bs
+          done;
+          add e.State.ino.Inode.indirect bs;
+          if e.State.ino.Inode.dindirect <> Layout.null_addr then begin
+            add e.State.ino.Inode.dindirect bs;
+            for child = 0 to Layout.ptrs_per_block layout - 1 do
+              add (Inode_store.dind_child_addr st e child) bs
+            done
+          end
     end
   done;
   Array.iter (fun addr -> add addr bs) st.imap_block_addr;
@@ -89,10 +99,9 @@ let fsck (st : State.t) =
   (* Walk every allocated inode's pointers. *)
   for inum = 1 to Imap.max_files st.imap - 1 do
     if Imap.is_allocated st.imap inum then begin
-      match Inode_store.find st inum with
-      | exception Lfs_vfs.Errors.Error e ->
-          report (Unreadable { inum; reason = Lfs_vfs.Errors.to_string e })
-      | e ->
+      match load st inum with
+      | Error reason -> report (Unreadable { inum; reason })
+      | Ok e ->
           let tag kind = Printf.sprintf "inum %d %s" inum kind in
           let nblocks = Inode.nblocks ~block_size:bs e.State.ino in
           for blkno = 0 to nblocks - 1 do
@@ -147,25 +156,24 @@ let fsck (st : State.t) =
         else begin
           Hashtbl.replace links inum
             (1 + Option.value ~default:0 (Hashtbl.find_opt links inum));
-          match Inode_store.find st inum with
-          | exception Lfs_vfs.Errors.Error e ->
-              report (Unreadable { inum; reason = Lfs_vfs.Errors.to_string e })
-          | e ->
+          match load st inum with
+          | Error reason -> report (Unreadable { inum; reason })
+          | Ok e ->
               if e.State.ino.Inode.kind = Lfs_vfs.Fs_intf.Directory then
                 walk inum
         end)
-      (Namespace.entries st ~dir)
+      (Block_file.entries st ~dir)
   in
   Hashtbl.replace links State.root_inum 1;
   walk State.root_inum;
   Hashtbl.iter
     (fun inum count ->
-      match Inode_store.find st inum with
-      | e ->
+      match load st inum with
+      | Ok e ->
           if e.State.ino.Inode.nlink <> count then
             report
               (Bad_nlink { inum; nlink = e.State.ino.Inode.nlink; entries = count })
-      | exception Lfs_vfs.Errors.Error _ -> ())
+      | Error _ -> ())
     links;
   for inum = 1 to Imap.max_files st.imap - 1 do
     if Imap.is_allocated st.imap inum && not (Hashtbl.mem links inum) then
@@ -197,14 +205,15 @@ let recovery_divergence ~(expected : State.t) ~(recovered : State.t) =
             diff "%s: size %d, recovered %d" path a.Inode.size b.Inode.size
           else begin
             let data st inum =
-              File_io.read st ~inum ~off:0 ~len:a.Inode.size
+              File_io.read st (Inode_store.find st inum) ~off:0
+                ~len:a.Inode.size
             in
             if not (Bytes.equal (data expected a_inum) (data recovered b_inum))
             then diff "%s: content differs" path
           end
       | Lfs_vfs.Fs_intf.Directory ->
           let sorted st dir =
-            List.sort compare (Namespace.entries st ~dir)
+            List.sort compare (Block_file.entries st ~dir)
           in
           let ea = sorted expected a_inum and eb = sorted recovered b_inum in
           let names l = List.map fst l in

@@ -172,6 +172,11 @@ let process_entry (st : State.t) ~addr ~payload ~off entry ~moved =
         moved := !moved + bs
       end
 
+(* Evacuate one victim; [false] if it must stay dirty.  A summary that
+   does not decode describes nothing, so the live data Seg_usage still
+   records in the segment cannot be found and moved: freeing it would
+   destroy that data.  Only a segment with nothing live (one torn by a
+   crash before any checkpoint referenced it) is freed without one. *)
 let clean_segment (st : State.t) seg ~moved ~max_seq =
   let layout = st.layout in
   let bs = layout.Layout.block_size in
@@ -184,10 +189,7 @@ let clean_segment (st : State.t) seg ~moved ~max_seq =
   Metrics.add st.counters.State.c_cleaner_bytes_read
     (layout.Layout.summary_blocks * bs);
   match Summary.decode summary_region with
-  | None ->
-      (* No valid summary: nothing live can be in this segment (it was
-         torn by a crash before any checkpoint referenced it). *)
-      ()
+  | None -> Seg_usage.live_bytes st.usage seg = 0
   | Some (header, entries) ->
       max_seq := max !max_seq header.Summary.seq;
       let payload =
@@ -203,7 +205,8 @@ let clean_segment (st : State.t) seg ~moved ~max_seq =
         (fun idx entry ->
           let addr = Layout.segment_payload_block layout ~seg ~idx in
           process_entry st ~addr ~payload ~off:(idx * bs) entry ~moved)
-        entries
+        entries;
+      true
 
 (* Evacuate [victims] and mark them clean; the shared machinery behind
    both policy-driven and exact cleaning. *)
@@ -220,7 +223,9 @@ let clean_victims (st : State.t) victims =
         in
         let moved = ref 0 in
         let max_seq = ref 0 in
-        List.iter (fun seg -> clean_segment st seg ~moved ~max_seq) victims;
+        let freed =
+          List.filter (fun seg -> clean_segment st seg ~moved ~max_seq) victims
+        in
         Metrics.add st.counters.State.c_cleaner_bytes_moved !moved;
         (* Persist the evacuations (pointer blocks, inodes, imap/usage
            blocks) and wait for the device before the victims become
@@ -248,15 +253,15 @@ let clean_victims (st : State.t) victims =
               (fun seg ->
                 Seg_usage.reset_segment st.usage seg;
                 Seg_usage.set_state st.usage seg Seg_usage.Clean)
-              victims;
-            let n = List.length victims in
+              freed;
+            let n = List.length freed in
             Metrics.add st.counters.State.c_segments_cleaned n;
             Metrics.incr st.counters.State.c_cleaner_passes;
             if Bus.enabled st.bus then
               Bus.emit st.bus
                 (Event.Cleaner_pass
                    {
-                     victims = n;
+                     victims = List.length victims;
                      freed = n;
                      bytes_read =
                        Metrics.value st.counters.State.c_cleaner_bytes_read

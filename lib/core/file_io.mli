@@ -1,21 +1,19 @@
 (** Byte-granularity file data operations over the cache and block maps.
 
     Writes only touch the cache (dirty blocks); they reach the log when
-    the write path flushes.  Reads prefer the cache, then the in-memory
-    active segment, then the disk.  Access times are maintained in the
-    inode map, not the inode (paper, footnote 2). *)
+    the write path flushes.  Reads go through the shared block-file layer
+    ({!Block_file}).  Access times are maintained in the inode map, not
+    the inode (paper, footnote 2).  Callers check the arguments
+    ({!Lfs_vfs.Block_file.check_read} and friends). *)
 
-val read : State.t -> inum:int -> off:int -> len:int -> bytes
+val read : State.t -> State.itable_entry -> off:int -> len:int -> bytes
 (** Read up to [len] bytes at [off] (short at end of file; holes read as
-    zeros).  Updates the file's atime.
-    @raise Errors.Error [Einval] on negative offset or length. *)
+    zeros).  Updates the file's atime. *)
 
-val write : State.t -> inum:int -> off:int -> bytes -> unit
-(** Write, extending the file as needed.
-    @raise Errors.Error [Efbig] past the maximum file size,
-    [Einval] on a negative offset. *)
+val write : State.t -> State.itable_entry -> off:int -> bytes -> unit
+(** Write, extending the file as needed. *)
 
-val truncate : State.t -> inum:int -> size:int -> unit
+val truncate : State.t -> State.itable_entry -> size:int -> unit
 (** Shrink or (sparsely) extend to [size].  Truncating to zero bumps the
     file's inode-map version, instantly invalidating its old log blocks
     for the cleaner (§4.2.1). *)

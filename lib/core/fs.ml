@@ -11,7 +11,6 @@ let name = "LFS"
 let io (st : t) = st.io
 let config (st : t) = st.config
 let layout (st : t) = st.layout
-let stats (st : t) = State.stats_view st
 
 (* Flush user data, alternating with cleaning passes whenever the log
    runs out of clean segments.  Raises [Enospc] only when the cleaner can
@@ -63,23 +62,13 @@ let housekeep ?(can_fail = true) (st : t) =
     && not st.cleaning
   then attempt (fun () -> checkpoint_user st)
 
-let split_parent path =
-  match Path.parent_and_name path with
-  | Ok v -> v
-  | Error e -> Errors.raise_ e
-
-let resolve_path (st : t) path =
-  match Path.split path with
-  | Ok components -> Namespace.resolve st components
-  | Error e -> Errors.raise_ e
-
 let make_node (st : t) path kind op =
   Errors.wrap (fun () ->
       Profile.with_op st.bus op @@ fun () ->
       Io.charge_syscall st.io;
-      let parent, fname = split_parent path in
-      let dir = Namespace.resolve_dir st parent in
-      (match Namespace.lookup st ~dir fname with
+      let parent, fname = Path.parent_and_name_exn path in
+      let dir = Block_file.resolve_dir st parent in
+      (match Block_file.lookup st ~dir fname with
       | Some _ -> Errors.raise_ (Errors.Eexist path)
       | None -> ());
       let now = Io.now_us st.io in
@@ -90,7 +79,7 @@ let make_node (st : t) path kind op =
       in
       let ino = Inode.create ~inum ~kind ~now_us:now in
       ignore (Inode_store.add_new st ino);
-      Namespace.add st ~dir fname inum;
+      Block_file.add st ~dir fname inum;
       housekeep st)
 
 let create st path = make_node st path Fs_intf.Regular `Create
@@ -100,19 +89,19 @@ let delete (st : t) path =
   Errors.wrap (fun () ->
       Profile.with_op st.bus `Delete @@ fun () ->
       Io.charge_syscall st.io;
-      let parent, fname = split_parent path in
-      let dir = Namespace.resolve_dir st parent in
+      let parent, fname = Path.parent_and_name_exn path in
+      let dir = Block_file.resolve_dir st parent in
       let inum =
-        match Namespace.lookup st ~dir fname with
+        match Block_file.lookup st ~dir fname with
         | Some i -> i
         | None -> Errors.raise_ (Errors.Enoent path)
       in
       let e = Inode_store.find st inum in
       if
         e.ino.Inode.kind = Fs_intf.Directory
-        && not (Namespace.is_empty st ~dir:inum)
+        && Block_file.entries st ~dir:inum <> []
       then Errors.raise_ (Errors.Enotempty path);
-      Namespace.remove st ~dir fname;
+      Block_file.remove st ~dir fname;
       (* Hard links: the inode and its data live until the last name is
          gone. *)
       if e.ino.Inode.nlink > 1 then begin
@@ -129,8 +118,8 @@ let rename (st : t) src dst =
   Errors.wrap (fun () ->
       Profile.with_op st.bus `Rename @@ fun () ->
       Io.charge_syscall st.io;
-      let src_parent, src_name = split_parent src in
-      let dst_parent, dst_name = split_parent dst in
+      let src_parent, src_name = Path.parent_and_name_exn src in
+      let dst_parent, dst_name = Path.parent_and_name_exn dst in
       if not (Path.valid_name dst_name) then
         Errors.raise_ (Errors.Einval dst);
       (* Moving a directory under itself would orphan the subtree. *)
@@ -143,60 +132,54 @@ let rename (st : t) src dst =
       in
       if is_prefix src_components (dst_parent @ [ dst_name ]) then
         Errors.raise_ (Errors.Einval "cannot move a directory beneath itself");
-      let src_dir = Namespace.resolve_dir st src_parent in
+      let src_dir = Block_file.resolve_dir st src_parent in
       let inum =
-        match Namespace.lookup st ~dir:src_dir src_name with
+        match Block_file.lookup st ~dir:src_dir src_name with
         | Some i -> i
         | None -> Errors.raise_ (Errors.Enoent src)
       in
-      let dst_dir = Namespace.resolve_dir st dst_parent in
-      (match Namespace.lookup st ~dir:dst_dir dst_name with
+      let dst_dir = Block_file.resolve_dir st dst_parent in
+      (match Block_file.lookup st ~dir:dst_dir dst_name with
       | Some _ -> Errors.raise_ (Errors.Eexist dst)
       | None -> ());
-      Namespace.remove st ~dir:src_dir src_name;
-      Namespace.add st ~dir:dst_dir dst_name inum;
+      Block_file.remove st ~dir:src_dir src_name;
+      Block_file.add st ~dir:dst_dir dst_name inum;
       housekeep st)
 
 let link (st : t) src dst =
   Errors.wrap (fun () ->
       Profile.with_op st.bus `Link @@ fun () ->
       Io.charge_syscall st.io;
-      let src_inum = resolve_path st src in
+      let src_inum = Block_file.resolve_path st src in
       let e = Inode_store.find st src_inum in
       if e.ino.Inode.kind = Fs_intf.Directory then
         Errors.raise_ (Errors.Eisdir src);
-      let dst_parent, dst_name = split_parent dst in
-      let dst_dir = Namespace.resolve_dir st dst_parent in
-      (match Namespace.lookup st ~dir:dst_dir dst_name with
+      let dst_parent, dst_name = Path.parent_and_name_exn dst in
+      let dst_dir = Block_file.resolve_dir st dst_parent in
+      (match Block_file.lookup st ~dir:dst_dir dst_name with
       | Some _ -> Errors.raise_ (Errors.Eexist dst)
       | None -> ());
-      Namespace.add st ~dir:dst_dir dst_name src_inum;
+      Block_file.add st ~dir:dst_dir dst_name src_inum;
       e.ino.Inode.nlink <- e.ino.Inode.nlink + 1;
       e.ino.Inode.mtime_us <- Io.now_us st.io;
       Inode_store.mark_dirty e;
       housekeep st)
 
-let regular_inum (st : t) path =
-  let inum = resolve_path st path in
-  let e = Inode_store.find st inum in
-  if e.ino.Inode.kind = Fs_intf.Directory then
-    Errors.raise_ (Errors.Eisdir path);
-  inum
-
 let write (st : t) path ~off data =
   Errors.wrap (fun () ->
       Profile.with_op st.bus `Write @@ fun () ->
       Io.charge_syscall st.io;
-      let inum = regular_inum st path in
-      File_io.write st ~inum ~off data;
+      Lfs_vfs.Block_file.check_write ~off ~len:(Bytes.length data)
+        ~max_size:(Inode.max_size st.layout);
+      File_io.write st (Block_file.regular st path) ~off data;
       housekeep st)
 
 let read (st : t) path ~off ~len =
   Errors.wrap (fun () ->
       Profile.with_op st.bus `Read @@ fun () ->
       Io.charge_syscall st.io;
-      let inum = regular_inum st path in
-      let data = File_io.read st ~inum ~off ~len in
+      Lfs_vfs.Block_file.check_read ~off ~len;
+      let data = File_io.read st (Block_file.regular st path) ~off ~len in
       housekeep ~can_fail:false st;
       data)
 
@@ -204,15 +187,16 @@ let truncate (st : t) path ~size =
   Errors.wrap (fun () ->
       Profile.with_op st.bus `Truncate @@ fun () ->
       Io.charge_syscall st.io;
-      let inum = regular_inum st path in
-      File_io.truncate st ~inum ~size;
+      Lfs_vfs.Block_file.check_truncate ~size
+        ~max_size:(Inode.max_size st.layout);
+      File_io.truncate st (Block_file.regular st path) ~size;
       housekeep ~can_fail:false st)
 
 let stat (st : t) path =
   Errors.wrap (fun () ->
       Profile.with_op st.bus `Stat @@ fun () ->
       Io.charge_syscall st.io;
-      let inum = resolve_path st path in
+      let inum = Block_file.resolve_path st path in
       let e = Inode_store.find st inum in
       {
         Fs_intf.inum;
@@ -227,13 +211,13 @@ let readdir (st : t) path =
   Errors.wrap (fun () ->
       Profile.with_op st.bus `Readdir @@ fun () ->
       Io.charge_syscall st.io;
-      let inum = resolve_path st path in
-      Namespace.entries st ~dir:inum
+      let inum = Block_file.resolve_path st path in
+      Block_file.entries st ~dir:inum
       |> List.map fst
       |> List.sort String.compare)
 
 let exists (st : t) path =
-  match Errors.wrap (fun () -> resolve_path st path) with
+  match Errors.wrap (fun () -> Block_file.resolve_path st path) with
   | Ok _ -> true
   | Error _ -> false
 
@@ -256,7 +240,7 @@ let fsync (st : t) path =
   Errors.wrap (fun () ->
       Profile.with_op st.bus `Fsync @@ fun () ->
       Io.charge_syscall st.io;
-      let inum = resolve_path st path in
+      let inum = Block_file.resolve_path st path in
       let rec attempt () =
         try
           Write_path.flush_file st ~privilege:`User inum;
@@ -269,7 +253,7 @@ let fsync (st : t) path =
                 | [] -> Write_path.flush_file st ~privilege:`User dir
                 | name :: rest ->
                     Write_path.flush_file st ~privilege:`User dir;
-                    (match Namespace.lookup st ~dir name with
+                    (match Block_file.lookup st ~dir name with
                     | Some child -> flush_chain child rest
                     | None -> ())
               in

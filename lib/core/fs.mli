@@ -76,7 +76,6 @@ val set_auto_clean : t -> bool -> unit
 
 val config : t -> Config.t
 val layout : t -> Layout.t
-val stats : t -> State.lfs_stats
 val write_cost : t -> float
 val clean_segment_count : t -> int
 val segment_report : t -> (int * Seg_usage.seg_state * float) list

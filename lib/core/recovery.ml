@@ -213,13 +213,13 @@ let repair_namespace (st : State.t) =
               | _ | (exception Lfs_vfs.Errors.Error _) -> ()
             end
           end)
-        (Namespace.entries st ~dir)
+        (Block_file.entries st ~dir)
     in
     Hashtbl.replace counts State.root_inum 1;
     walk State.root_inum;
     List.iter
       (fun (dir, name) ->
-        try Namespace.remove st ~dir name
+        try Block_file.remove st ~dir name
         with Lfs_vfs.Errors.Error _ -> ())
       !dangling;
     for inum = 1 to Imap.max_files st.imap - 1 do

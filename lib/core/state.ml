@@ -2,7 +2,7 @@
 
     This module only declares the record types threaded through the
     operational modules ({!Block_io}, {!Inode_store}, {!Segwriter},
-    {!Write_path}, {!File_io}, {!Namespace}, {!Cleaner}, {!Recovery});
+    {!Write_path}, {!File_io}, {!Block_file}, {!Cleaner}, {!Recovery});
     behaviour lives there.  The public face of the library is {!Fs}. *)
 
 module Bitset = Lfs_util.Bitset
@@ -39,20 +39,7 @@ type segbuf = {
   mutable entries_rev : Summary.entry list;
 }
 
-type lfs_stats = {
-  mutable segments_written : int;
-  mutable partial_segments : int;
-  mutable blocks_logged : int;  (** payload blocks appended to the log *)
-  mutable segments_cleaned : int;
-  mutable cleaner_bytes_read : int;
-  mutable cleaner_bytes_moved : int;
-  mutable cleaner_passes : int;
-  mutable checkpoints : int;
-  mutable rollforward_segments : int;
-}
-
-(* The registry counters behind {!lfs_stats}.  Operational modules bump
-   these; the record above is only a compatibility view. *)
+(* The [lfs.*] registry counters.  Operational modules bump these. *)
 type lfs_counters = {
   c_segments_written : Metrics.counter;
   c_partial_segments : Metrics.counter;
@@ -103,9 +90,9 @@ let root_inum = 1
 let create io config layout =
   let metrics = Lfs_disk.Io.metrics io in
   (* A mount starts its operation counters from zero even when the
-     underlying io is reused (remount), matching the old per-mount
-     [lfs_stats] record.  Registration is get-or-create, so the registry
-     keeps one set of [lfs.*] instruments across remounts. *)
+     underlying io is reused (remount).  Registration is get-or-create,
+     so the registry keeps one set of [lfs.*] instruments across
+     remounts. *)
   Metrics.reset_prefix metrics "lfs.";
   let counters =
     {
@@ -161,21 +148,6 @@ let create io config layout =
     metrics;
     bus = Lfs_disk.Io.bus io;
     counters;
-  }
-
-(** Build the compatibility [lfs_stats] view from the registry counters. *)
-let stats_view t =
-  let v c = Metrics.value c in
-  {
-    segments_written = v t.counters.c_segments_written;
-    partial_segments = v t.counters.c_partial_segments;
-    blocks_logged = v t.counters.c_blocks_logged;
-    segments_cleaned = v t.counters.c_segments_cleaned;
-    cleaner_bytes_read = v t.counters.c_cleaner_bytes_read;
-    cleaner_bytes_moved = v t.counters.c_cleaner_bytes_moved;
-    cleaner_passes = v t.counters.c_cleaner_passes;
-    checkpoints = v t.counters.c_checkpoints;
-    rollforward_segments = v t.counters.c_rollforward_segments;
   }
 
 let fresh_itable_entry ino =

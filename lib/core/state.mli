@@ -2,7 +2,7 @@
 
     This module only declares the record types threaded through the
     operational modules ({!Block_io}, {!Inode_store}, {!Segwriter},
-    {!Write_path}, {!File_io}, {!Namespace}, {!Cleaner}, {!Recovery});
+    {!Write_path}, {!File_io}, {!Block_file}, {!Cleaner}, {!Recovery});
     behaviour lives there.  The public face of the library is {!Fs}
     (whose [t] is this [t]). *)
 
@@ -32,23 +32,9 @@ type segbuf = {
   mutable entries_rev : Summary.entry list;
 }
 
-(** Compatibility view of the [lfs.*] registry counters: a fresh record
-    built by {!stats_view}; mutating it does not affect the registry. *)
-type lfs_stats = {
-  mutable segments_written : int;
-  mutable partial_segments : int;
-  mutable blocks_logged : int;
-  mutable segments_cleaned : int;
-  mutable cleaner_bytes_read : int;
-  mutable cleaner_bytes_moved : int;
-  mutable cleaner_passes : int;
-  mutable checkpoints : int;
-  mutable rollforward_segments : int;
-}
-
-(** Registry counter handles behind {!lfs_stats} ([lfs.*] instruments in
-    the I/O stack's registry).  Operational modules bump these via
-    {!Lfs_obs.Metrics.incr}/[add]. *)
+(** Registry counter handles for the [lfs.*] instruments in the I/O
+    stack's registry.  Operational modules bump these via
+    {!Lfs_obs.Metrics.incr}/[add]; readers take a registry snapshot. *)
 type lfs_counters = {
   c_segments_written : Lfs_obs.Metrics.counter;
   c_partial_segments : Lfs_obs.Metrics.counter;
@@ -96,8 +82,5 @@ val root_inum : int
 val create : Lfs_disk.Io.t -> Config.t -> Layout.t -> t
 (** Adopts the io's registry and bus; resets the [lfs.*] instruments so a
     remount starts counting from zero (the registry itself is shared). *)
-
-val stats_view : t -> lfs_stats
-(** A fresh snapshot record of the [lfs.*] counters. *)
 
 val fresh_itable_entry : Inode.t -> itable_entry

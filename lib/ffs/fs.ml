@@ -17,6 +17,7 @@ let trace_sync_write io ~what ~sector ~sectors =
     Bus.emit bus (Event.Ffs_sync_write { what; sector; sectors })
 
 let owner_raw = -3
+let root_inum = 1
 
 type entry = { ino : Inode.t; mutable dirty : bool }
 
@@ -41,6 +42,10 @@ let key_data ~inum ~blkno = { Cache.owner = inum; blkno }
 let key_raw addr = { Cache.owner = owner_raw; blkno = addr }
 let sector_of_block t addr = Layout.sector_of_block t.layout addr
 
+let read_disk t addr ~n =
+  Io.sync_read t.io ~sector:(sector_of_block t addr)
+    ~count:(n * t.layout.Layout.block_sectors)
+
 (* Raw (by-address) block read through the cache: inode-table blocks and
    indirect blocks. *)
 let read_raw t addr =
@@ -48,10 +53,7 @@ let read_raw t addr =
   match Cache.find t.cache (key_raw addr) with
   | Some data -> data
   | None ->
-      let data =
-        Io.sync_read t.io ~sector:(sector_of_block t addr)
-          ~count:t.layout.Layout.block_sectors
-      in
+      let data = read_disk t addr ~n:1 in
       Cache.insert t.cache (key_raw addr) ~dirty:false data;
       data
 
@@ -346,45 +348,11 @@ let housekeep t =
   | Some age when age >= t.config.Config.writeback_age_us -> flush t
   | Some _ | None -> ()
 
-(* Directories *)
+(* Directories and the read path: the block-file layer shared with LFS.
+   Writing a directory block on the create/delete path is synchronous —
+   the behaviour the paper blames for coupling FFS to disk latency;
+   [repair] writes back without waiting. *)
 
-let dir_entry_of t inum =
-  let e = get_entry t inum in
-  if e.ino.Inode.kind <> Fs_intf.Directory then
-    Errors.raise_ (Errors.Enotdir (Printf.sprintf "inum %d" inum));
-  e
-
-let dir_nblocks t (e : entry) =
-  Inode.nblocks ~block_size:t.layout.Layout.block_size e.ino
-
-(* A directory block's bytes: the cache's own buffer, read (and cached
-   clean) on a miss, or [None] for a hole.  Lookups scan it and updates
-   edit it in place before writing it back. *)
-let dir_block t (e : entry) blk =
-  let inum = e.ino.Inode.inum in
-  match Cache.find t.cache (key_data ~inum ~blkno:blk) with
-  | Some _ as hit -> hit
-  | None ->
-      let addr = bmap_read t e blk in
-      if addr = Layout.null_addr then None
-      else begin
-        let block =
-          Io.sync_read t.io ~sector:(sector_of_block t addr)
-            ~count:t.layout.Layout.block_sectors
-        in
-        Cache.insert t.cache (key_data ~inum ~blkno:blk) ~dirty:false block;
-        Some block
-      end
-
-let read_dir_block t e blk =
-  match dir_block t e blk with
-  | Some block -> Dir_block.parse block
-  | None -> []
-
-let empty_dir_block t = Bytes.make t.layout.Layout.block_size '\000'
-
-(* Writing a directory block on the create/delete path is synchronous —
-   the behaviour the paper blames for coupling FFS to disk latency. *)
 let write_dir_block t (e : entry) blk block ~sync_write =
   let inum = e.ino.Inode.inum in
   let addr = bmap_alloc t e blk in
@@ -402,87 +370,28 @@ let write_dir_block t (e : entry) blk block ~sync_write =
   e.ino.Inode.mtime_us <- Io.now_us t.io;
   e.dirty <- true
 
-let dir_lookup t ~dir fname =
-  let e = dir_entry_of t dir in
-  let n = dir_nblocks t e in
-  let rec scan blk =
-    if blk >= n then None
-    else begin
-      Io.charge_lookup t.io;
-      let found =
-        match dir_block t e blk with
-        | Some block -> Dir_block.find block fname
-        | None -> None
-      in
-      if Option.is_some found then found else scan (blk + 1)
-    end
-  in
-  scan 0
+module B = Lfs_vfs.Block_file.Make (struct
+  type nonrec t = t
+  type file = entry
 
-let dir_add t ~dir fname inum ~sync_write =
-  if not (Path.valid_name fname) then
-    Errors.raise_ (Errors.Einval (Printf.sprintf "bad name %S" fname));
-  let e = dir_entry_of t dir in
-  let n = dir_nblocks t e in
-  let rec place blk =
-    if blk >= n then begin
-      let block = empty_dir_block t in
-      Dir_block.insert_front block fname inum;
-      write_dir_block t e n block ~sync_write
-    end
-    else begin
-      Io.charge_lookup t.io;
-      let block =
-        match dir_block t e blk with Some b -> b | None -> empty_dir_block t
-      in
-      if Dir_block.fits block fname then begin
-        Dir_block.insert_front block fname inum;
-        write_dir_block t e blk block ~sync_write
-      end
-      else place (blk + 1)
-    end
-  in
-  place 0
-
-let dir_remove t ~dir fname ~sync_write =
-  let e = dir_entry_of t dir in
-  let n = dir_nblocks t e in
-  let rec hunt blk =
-    if blk >= n then Errors.raise_ (Errors.Enoent fname)
-    else begin
-      Io.charge_lookup t.io;
-      match dir_block t e blk with
-      | Some block when Dir_block.remove block fname ->
-          write_dir_block t e blk block ~sync_write
-      | Some _ | None -> hunt (blk + 1)
-    end
-  in
-  hunt 0
-
-let dir_entries t ~dir =
-  let e = dir_entry_of t dir in
-  List.concat
-    (List.init (dir_nblocks t e) (fun blk ->
-         Io.charge_lookup t.io;
-         read_dir_block t e blk))
-
-let resolve t components =
-  List.fold_left
-    (fun cur fname ->
-      match dir_lookup t ~dir:cur fname with
-      | Some inum -> inum
-      | None -> Errors.raise_ (Errors.Enoent fname))
-    t.root components
-
-let resolve_path t path =
-  match Path.split path with
-  | Ok components -> resolve t components
-  | Error e -> Errors.raise_ e
-
-let split_parent path =
-  match Path.parent_and_name path with
-  | Ok v -> v
-  | Error e -> Errors.raise_ e
+  let io t = t.io
+  let cache t = t.cache
+  let readahead t = t.readahead
+  let block_size t = t.layout.Layout.block_size
+  let read_clustering t = t.config.Config.read_clustering
+  let root = root_inum
+  let null_addr = Layout.null_addr
+  let find = get_entry
+  let inum (e : file) = e.ino.Inode.inum
+  let size (e : file) = e.ino.Inode.size
+  let kind (e : file) = e.ino.Inode.kind
+  let bmap = bmap_read
+  let read_disk = read_disk
+  let fetch t addr = read_disk t addr ~n:1
+  let clusterable _ _ = true
+  let write_dir_block t e blk block =
+    write_dir_block t e blk block ~sync_write:true
+end)
 
 (* Namespace operations *)
 
@@ -490,10 +399,9 @@ let make_node t path kind op =
   Errors.wrap (fun () ->
       Profile.with_op (Io.bus t.io) op @@ fun () ->
       Io.charge_syscall t.io;
-      let parent, fname = split_parent path in
-      let dir = resolve t parent in
-      ignore (dir_entry_of t dir);
-      (match dir_lookup t ~dir fname with
+      let parent, fname = Path.parent_and_name_exn path in
+      let dir = B.resolve_dir t parent in
+      (match B.lookup t ~dir fname with
       | Some _ -> Errors.raise_ (Errors.Eexist path)
       | None -> ());
       let group = Layout.group_of_inum t.layout dir in
@@ -509,7 +417,7 @@ let make_node t path kind op =
       (* The two synchronous writes of Figure 1: the new inode's table
          block, then the directory data block. *)
       store_inode t (Some ino) ~inum ~mode:`Sync;
-      dir_add t ~dir fname inum ~sync_write:true;
+      B.add t ~dir fname inum;
       housekeep t)
 
 let create t path = make_node t path Fs_intf.Regular `Create
@@ -545,17 +453,17 @@ let delete t path =
   Errors.wrap (fun () ->
       Profile.with_op (Io.bus t.io) `Delete @@ fun () ->
       Io.charge_syscall t.io;
-      let parent, fname = split_parent path in
-      let dir = resolve t parent in
+      let parent, fname = Path.parent_and_name_exn path in
+      let dir = B.resolve t parent in
       let inum =
-        match dir_lookup t ~dir fname with
+        match B.lookup t ~dir fname with
         | Some i -> i
         | None -> Errors.raise_ (Errors.Enoent path)
       in
       let e = get_entry t inum in
-      if e.ino.Inode.kind = Fs_intf.Directory && dir_entries t ~dir:inum <> []
+      if e.ino.Inode.kind = Fs_intf.Directory && B.entries t ~dir:inum <> []
       then Errors.raise_ (Errors.Enotempty path);
-      dir_remove t ~dir fname ~sync_write:true;
+      B.remove t ~dir fname;
       if e.ino.Inode.nlink > 1 then begin
         e.ino.Inode.nlink <- e.ino.Inode.nlink - 1;
         e.ino.Inode.mtime_us <- Io.now_us t.io;
@@ -575,8 +483,8 @@ let rename t src dst =
   Errors.wrap (fun () ->
       Profile.with_op (Io.bus t.io) `Rename @@ fun () ->
       Io.charge_syscall t.io;
-      let src_parent, src_name = split_parent src in
-      let dst_parent, dst_name = split_parent dst in
+      let src_parent, src_name = Path.parent_and_name_exn src in
+      let dst_parent, dst_name = Path.parent_and_name_exn dst in
       let rec is_prefix a b =
         match (a, b) with
         | [], _ -> true
@@ -585,32 +493,31 @@ let rename t src dst =
       in
       if is_prefix (src_parent @ [ src_name ]) (dst_parent @ [ dst_name ]) then
         Errors.raise_ (Errors.Einval "cannot move a directory beneath itself");
-      let src_dir = resolve t src_parent in
+      let src_dir = B.resolve t src_parent in
       let inum =
-        match dir_lookup t ~dir:src_dir src_name with
+        match B.lookup t ~dir:src_dir src_name with
         | Some i -> i
         | None -> Errors.raise_ (Errors.Enoent src)
       in
-      let dst_dir = resolve t dst_parent in
-      (match dir_lookup t ~dir:dst_dir dst_name with
+      let dst_dir = B.resolve t dst_parent in
+      (match B.lookup t ~dir:dst_dir dst_name with
       | Some _ -> Errors.raise_ (Errors.Eexist dst)
       | None -> ());
-      dir_remove t ~dir:src_dir src_name ~sync_write:true;
-      dir_add t ~dir:dst_dir dst_name inum ~sync_write:true;
+      B.remove t ~dir:src_dir src_name;
+      B.add t ~dir:dst_dir dst_name inum;
       housekeep t)
 
 let link t src dst =
   Errors.wrap (fun () ->
       Profile.with_op (Io.bus t.io) `Link @@ fun () ->
       Io.charge_syscall t.io;
-      let src_inum = resolve_path t src in
+      let src_inum = B.resolve_path t src in
       let e = get_entry t src_inum in
       if e.ino.Inode.kind = Fs_intf.Directory then
         Errors.raise_ (Errors.Eisdir src);
-      let dst_parent, dst_name = split_parent dst in
-      let dst_dir = resolve t dst_parent in
-      ignore (dir_entry_of t dst_dir);
-      (match dir_lookup t ~dir:dst_dir dst_name with
+      let dst_parent, dst_name = Path.parent_and_name_exn dst in
+      let dst_dir = B.resolve_dir t dst_parent in
+      (match B.lookup t ~dir:dst_dir dst_name with
       | Some _ -> Errors.raise_ (Errors.Eexist dst)
       | None -> ());
       (* As with creat, the metadata updates are synchronous. *)
@@ -618,174 +525,18 @@ let link t src dst =
       e.ino.Inode.mtime_us <- Io.now_us t.io;
       store_inode t (Some e.ino) ~inum:src_inum ~mode:`Sync;
       e.dirty <- false;
-      dir_add t ~dir:dst_dir dst_name src_inum ~sync_write:true;
+      B.add t ~dir:dst_dir dst_name src_inum;
       housekeep t)
 
 (* Data operations *)
-
-let regular_inum t path =
-  let inum = resolve_path t path in
-  let e = get_entry t inum in
-  if e.ino.Inode.kind = Fs_intf.Directory then Errors.raise_ (Errors.Eisdir path);
-  inum
-
-let read_file_block t ~inum ~blkno ~addr =
-  match Cache.find t.cache (key_data ~inum ~blkno) with
-  | Some block -> block
-  | None ->
-      let block =
-        Io.sync_read t.io ~sector:(sector_of_block t addr)
-          ~count:t.layout.Layout.block_sectors
-      in
-      Cache.insert t.cache (key_data ~inum ~blkno) ~dirty:false block;
-      block
-
-(* Clustered read: [n] physically contiguous blocks in one disk request,
-   each cached clean.  A one-block run's buffer is cached as read, so the
-   caller must only read the returned bytes. *)
-let read_run t ~inum ~first_blkno ~addr ~n =
-  let bs = t.layout.Layout.block_size in
-  let data =
-    Io.sync_read t.io ~sector:(sector_of_block t addr)
-      ~count:(n * t.layout.Layout.block_sectors)
-  in
-  if n > 1 then Io.note_clustered_read t.io ~blocks:n;
-  for i = 0 to n - 1 do
-    Cache.insert t.cache
-      (key_data ~inum ~blkno:(first_blkno + i))
-      ~dirty:false
-      (if n = 1 then data else Bytes.sub data (i * bs) bs)
-  done;
-  data
-
-(* How many blocks starting at [blkno]/[addr] can go in one request:
-   consecutive logical blocks up to [max_blkno] at consecutive addresses,
-   none already cached (a dirty cached block must never be clobbered with
-   stale disk data). *)
-let probe_run t (e : entry) ~inum ~blkno ~addr ~max_blkno =
-  let n = ref 1 in
-  let continue = ref true in
-  while !continue && blkno + !n <= max_blkno do
-    let next = blkno + !n in
-    if
-      bmap_read t e next = addr + !n
-      && not (Cache.mem t.cache (key_data ~inum ~blkno:next))
-    then incr n
-    else continue := false
-  done;
-  !n
-
-(* Issue a planned read-ahead window: clamp to the file, skip holes and
-   cached blocks, fetch the rest as contiguous runs inserted clean. *)
-let prefetch t (e : entry) ~inum ~start ~count =
-  let bs = t.layout.Layout.block_size in
-  let size = e.ino.Inode.size in
-  let max_blkno = if size = 0 then -1 else (size - 1) / bs in
-  let last = min (start + count - 1) max_blkno in
-  let issue ~first_blkno ~addr ~n =
-    let bus = Io.bus t.io in
-    let go () =
-      ignore (read_run t ~inum ~first_blkno ~addr ~n);
-      for i = 0 to n - 1 do
-        Readahead.mark_issued t.readahead ~owner:inum ~blkno:(first_blkno + i)
-      done;
-      if Bus.enabled bus then
-        Bus.emit bus
-          (Event.Readahead { owner = inum; start = first_blkno; blocks = n })
-    in
-    if Bus.enabled bus then Bus.with_span bus "ffs_prefetch" go else go ()
-  in
-  let run_first = ref (-1) in
-  let run_addr = ref Layout.null_addr in
-  let run_n = ref 0 in
-  let flush_run () =
-    if !run_n > 0 then issue ~first_blkno:!run_first ~addr:!run_addr ~n:!run_n;
-    run_n := 0
-  in
-  for blkno = start to last do
-    let addr =
-      if Cache.mem t.cache (key_data ~inum ~blkno) then Layout.null_addr
-      else bmap_read t e blkno
-    in
-    if addr <> Layout.null_addr then begin
-      if !run_n > 0 && addr = !run_addr + !run_n then incr run_n
-      else begin
-        flush_run ();
-        run_first := blkno;
-        run_addr := addr;
-        run_n := 1
-      end
-    end
-    else flush_run ()
-  done;
-  flush_run ()
 
 let read t path ~off ~len =
   Errors.wrap (fun () ->
       Profile.with_op (Io.bus t.io) `Read @@ fun () ->
       Io.charge_syscall t.io;
-      if off < 0 || len < 0 then Errors.raise_ (Errors.Einval "read bounds");
-      let inum = regular_inum t path in
-      let e = get_entry t inum in
-      let size = e.ino.Inode.size in
-      let len = max 0 (min len (size - off)) in
-      let bs = t.layout.Layout.block_size in
-      let result = Bytes.make len '\000' in
-      let clustering = t.config.Config.read_clustering in
-      let max_blkno = if len = 0 then -1 else (off + len - 1) / bs in
-      (* Blocks fetched by the most recent clustered run are sliced from
-         its buffer rather than looked up again. *)
-      let run_first = ref 0 in
-      let run_n = ref 0 in
-      let run_bytes = ref Bytes.empty in
-      let pos = ref 0 in
-      while !pos < len do
-        let abs = off + !pos in
-        let blkno = abs / bs in
-        let in_block = abs mod bs in
-        let chunk = min (len - !pos) (bs - in_block) in
-        if !run_n > 0 && blkno >= !run_first && blkno < !run_first + !run_n
-        then
-          Bytes.blit !run_bytes
-            (((blkno - !run_first) * bs) + in_block)
-            result !pos chunk
-        else begin
-          match Cache.find t.cache (key_data ~inum ~blkno) with
-          | Some block ->
-              Readahead.served t.readahead ~owner:inum ~blkno ~hit:true;
-              Bytes.blit block in_block result !pos chunk
-          | None -> (
-              Readahead.served t.readahead ~owner:inum ~blkno ~hit:false;
-              let addr = bmap_read t e blkno in
-              if addr <> Layout.null_addr then begin
-                let fill () =
-                  if clustering then begin
-                    let n = probe_run t e ~inum ~blkno ~addr ~max_blkno in
-                    run_first := blkno;
-                    run_n := n;
-                    run_bytes := read_run t ~inum ~first_blkno:blkno ~addr ~n;
-                    Bytes.blit !run_bytes in_block result !pos chunk
-                  end
-                  else
-                    Bytes.blit
-                      (read_file_block t ~inum ~blkno ~addr)
-                      in_block result !pos chunk
-                in
-                let bus = Io.bus t.io in
-                if Bus.enabled bus then Bus.with_span bus "ffs_read_fill" fill
-                else fill ()
-              end)
-        end;
-        pos := !pos + chunk
-      done;
-      (if len > 0 then
-         match
-           Readahead.observe t.readahead ~owner:inum ~first:(off / bs)
-             ~last:max_blkno
-         with
-         | None -> ()
-         | Some (start, count) -> prefetch t e ~inum ~start ~count);
-      Io.charge_copy t.io ~bytes:len;
+      Lfs_vfs.Block_file.check_read ~off ~len;
+      let e = B.regular t path in
+      let result = B.read t e ~off ~len in
       e.ino.Inode.atime_us <- Io.now_us t.io;
       e.dirty <- true;
       housekeep t;
@@ -795,12 +546,12 @@ let write t path ~off data =
   Errors.wrap (fun () ->
       Profile.with_op (Io.bus t.io) `Write @@ fun () ->
       Io.charge_syscall t.io;
-      if off < 0 then Errors.raise_ (Errors.Einval "negative offset");
-      let inum = regular_inum t path in
-      let e = get_entry t inum in
-      let bs = t.layout.Layout.block_size in
       let len = Bytes.length data in
-      if off + len > Inode.max_size t.layout then Errors.raise_ Errors.Efbig;
+      Lfs_vfs.Block_file.check_write ~off ~len
+        ~max_size:(Inode.max_size t.layout);
+      let e = B.regular t path in
+      let inum = e.ino.Inode.inum in
+      let bs = t.layout.Layout.block_size in
       let pos = ref 0 in
       while !pos < len do
         let abs = off + !pos in
@@ -826,7 +577,7 @@ let write t path ~off data =
                    bytes inside the current file size — even when this
                    write's own offset lies past them. *)
                 if existed && blkno * bs < e.ino.Inode.size then
-                  Bytes.copy (read_file_block t ~inum ~blkno ~addr)
+                  Bytes.copy (B.read_block t e ~blkno ~addr)
                 else Bytes.make bs '\000'
               in
               Bytes.blit data !pos block in_block chunk;
@@ -844,10 +595,10 @@ let truncate t path ~size =
   Errors.wrap (fun () ->
       Profile.with_op (Io.bus t.io) `Truncate @@ fun () ->
       Io.charge_syscall t.io;
-      if size < 0 then Errors.raise_ (Errors.Einval "negative size");
-      if size > Inode.max_size t.layout then Errors.raise_ Errors.Efbig;
-      let inum = regular_inum t path in
-      let e = get_entry t inum in
+      Lfs_vfs.Block_file.check_truncate ~size
+        ~max_size:(Inode.max_size t.layout);
+      let e = B.regular t path in
+      let inum = e.ino.Inode.inum in
       let bs = t.layout.Layout.block_size in
       let old_size = e.ino.Inode.size in
       if size < old_size then begin
@@ -874,21 +625,7 @@ let truncate t path ~size =
             Cache.remove t.cache (key_data ~inum ~blkno)
           end
         done;
-        if size mod bs <> 0 && keep > 0 then begin
-          let blkno = keep - 1 in
-          let key = key_data ~inum ~blkno in
-          match Cache.find t.cache key with
-          | Some b ->
-              Bytes.fill b (size mod bs) (bs - (size mod bs)) '\000';
-              Cache.mark_dirty t.cache key
-          | None ->
-              let addr = bmap_read t e blkno in
-              if addr <> Layout.null_addr then begin
-                let b = Bytes.copy (read_file_block t ~inum ~blkno ~addr) in
-                Bytes.fill b (size mod bs) (bs - (size mod bs)) '\000';
-                Cache.insert t.cache key ~dirty:true b
-              end
-        end
+        B.zero_tail t e ~size
       end;
       e.ino.Inode.size <- size;
       e.ino.Inode.mtime_us <- Io.now_us t.io;
@@ -899,7 +636,7 @@ let stat t path =
   Errors.wrap (fun () ->
       Profile.with_op (Io.bus t.io) `Stat @@ fun () ->
       Io.charge_syscall t.io;
-      let inum = resolve_path t path in
+      let inum = B.resolve_path t path in
       let e = get_entry t inum in
       {
         Fs_intf.inum;
@@ -914,11 +651,11 @@ let readdir t path =
   Errors.wrap (fun () ->
       Profile.with_op (Io.bus t.io) `Readdir @@ fun () ->
       Io.charge_syscall t.io;
-      let inum = resolve_path t path in
-      dir_entries t ~dir:inum |> List.map fst |> List.sort String.compare)
+      let inum = B.resolve_path t path in
+      B.entries t ~dir:inum |> List.map fst |> List.sort String.compare)
 
 let exists t path =
-  match Errors.wrap (fun () -> resolve_path t path) with
+  match Errors.wrap (fun () -> B.resolve_path t path) with
   | Ok _ -> true
   | Error _ -> false
 
@@ -931,7 +668,7 @@ let fsync t path =
   Errors.wrap (fun () ->
       Profile.with_op (Io.bus t.io) `Fsync @@ fun () ->
       Io.charge_syscall t.io;
-      ignore (resolve_path t path);
+      ignore (B.resolve_path t path);
       do_sync t)
 
 let flush_caches t =
@@ -948,8 +685,6 @@ let flush_caches t =
 let unmount t = do_sync t
 
 (* Lifecycle *)
-
-let root_inum = 1
 
 let format io config =
   let geometry = Io.geometry io in
@@ -1175,7 +910,7 @@ let fsck t =
               if e.ino.Inode.kind = Fs_intf.Directory && first_visit then
                 walk inum
         end)
-      (dir_entries t ~dir)
+      (B.entries t ~dir)
   in
   Hashtbl.replace links t.root 1;
   walk t.root;
@@ -1246,12 +981,14 @@ let repair t =
     if not (Hashtbl.mem visited dir) then begin
       Hashtbl.replace visited dir ();
       let e = get_entry t dir in
-      for blk = 0 to dir_nblocks t e - 1 do
+      for blk = 0 to Inode.nblocks ~block_size:l.Layout.block_size e.ino - 1 do
         let entries =
-          try read_dir_block t e blk
+          try Option.fold ~none:[] ~some:Dir_block.parse (B.cached_block t e blk)
           with Lfs_util.Codec.Error _ | Io.Read_failed _ ->
             note "inum %d: salvaged torn directory block %d" dir blk;
-            write_dir_block t e blk (empty_dir_block t) ~sync_write:false;
+            write_dir_block t e blk
+              (Bytes.make l.Layout.block_size '\000')
+              ~sync_write:false;
             []
         in
         let keep, drop =

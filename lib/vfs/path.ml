@@ -36,3 +36,6 @@ let parent_and_name path =
         | [] -> assert false
       in
       Ok (last_split [] components)
+
+let parent_and_name_exn path =
+  match parent_and_name path with Ok v -> v | Error e -> Errors.raise_ e

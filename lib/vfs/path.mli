@@ -16,6 +16,9 @@ val parent_and_name : string -> (string list * string, Errors.t) result
 (** [parent_and_name "/a/b/c"] is [Ok (["a"; "b"], "c")].  Fails on
     ["/"]. *)
 
+val parent_and_name_exn : string -> string list * string
+(** @raise Errors.Error on invalid paths and on ["/"]. *)
+
 val max_name_len : int
 (** 255, as in BSD. *)
 

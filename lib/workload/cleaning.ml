@@ -77,13 +77,11 @@ let run ?(file_size = 1024) ?(fill_fraction = 0.7) ?(seed = 23)
     if utils = [] then 0.0
     else List.fold_left ( +. ) 0.0 utils /. float_of_int (List.length utils)
   in
-  let moved0 = (Lfs_core.Fs.stats fs).Lfs_core.State.cleaner_bytes_moved in
+  let moved0 = Driver.counter inst "lfs.cleaner_bytes_moved" in
   let t0 = Driver.now_us inst in
   let freed = Lfs_core.Cleaner.clean_exact fs ~victims:(List.rev victims) in
   let elapsed_us = Driver.now_us inst - t0 in
-  let moved =
-    (Lfs_core.Fs.stats fs).Lfs_core.State.cleaner_bytes_moved - moved0
-  in
+  let moved = Driver.counter inst "lfs.cleaner_bytes_moved" - moved0 in
   let clean_bytes = freed * seg_payload in
   let rate bytes =
     if elapsed_us <= 0 then infinity

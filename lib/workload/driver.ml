@@ -64,6 +64,11 @@ let now_us inst = Lfs_disk.Io.now_us (io inst)
 let metrics inst = Lfs_disk.Io.metrics (io inst)
 let bus inst = Lfs_disk.Io.bus (io inst)
 
+let counter inst name =
+  Option.value ~default:0
+    (Lfs_obs.Metrics.counter_value (Lfs_obs.Metrics.snapshot (metrics inst))
+       name)
+
 (** Simulated time consumed by [f], in microseconds. *)
 let timed inst f =
   let t0 = now_us inst in

@@ -40,6 +40,9 @@ val metrics : Lfs_vfs.Fs_intf.instance -> Lfs_obs.Metrics.t
 val bus : Lfs_vfs.Fs_intf.instance -> Lfs_obs.Bus.t
 (** The instance's trace bus. *)
 
+val counter : Lfs_vfs.Fs_intf.instance -> string -> int
+(** Current value of a registry counter, 0 if it was never registered. *)
+
 val timed : Lfs_vfs.Fs_intf.instance -> (unit -> unit) -> int
 (** Simulated microseconds consumed by the thunk. *)
 

@@ -343,7 +343,7 @@ let checkpoint_row disk_mb (interval_s, roll_forward) =
     (if roll_forward then "yes" else "no");
     Format.asprintf "%a" Lfs_disk.Clock.pp_duration_us recovery_us;
     Printf.sprintf "%d/%d" survived written;
-    string_of_int (Lfs_core.Fs.stats fs2).Lfs_core.State.rollforward_segments;
+    string_of_int (counter (Lfs_core.Fs.io fs2) "lfs.rollforward_segments");
   ]
 
 let checkpoint disk_mb =

@@ -63,7 +63,7 @@ let run ?(file_size = 4096) ?(theta = 0.0) ?(ops = 20_000) ?(seed = 31)
   (* Steady-state overwrite traffic. *)
   let rng = Lfs_util.Rng.create seed in
   let zipf = Lfs_util.Zipf.create ~n:nfiles ~theta in
-  let base_cleaned = (Lfs_core.Fs.stats fs).Lfs_core.State.segments_cleaned in
+  let base_cleaned = Driver.counter inst "lfs.segments_cleaned" in
   let elapsed =
     Driver.timed inst (fun () ->
         for op = 0 to ops - 1 do
@@ -86,7 +86,7 @@ let run ?(file_size = 4096) ?(theta = 0.0) ?(ops = 20_000) ?(seed = 31)
            float_of_int (ops * file_size) /. 1024.0
            /. (float_of_int elapsed /. 1e6));
       segments_cleaned =
-        (Lfs_core.Fs.stats fs).Lfs_core.State.segments_cleaned - base_cleaned;
+        Driver.counter inst "lfs.segments_cleaned" - base_cleaned;
     }
   in
   Driver.sanitize inst;

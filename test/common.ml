@@ -24,6 +24,13 @@ let make_lfs ?(size_bytes = 8 * 1024 * 1024) ?(config = small_config) () =
   | Ok fs -> fs
   | Error e -> failwith ("mount: " ^ e)
 
+(* An [lfs.*] registry counter of a mounted LFS. *)
+let lfs_counter fs name =
+  Option.value ~default:0
+    (Lfs_obs.Metrics.counter_value
+       (Lfs_obs.Metrics.snapshot (Io.metrics (Lfs_core.Fs.io fs)))
+       ("lfs." ^ name))
+
 let check_ok what = function
   | Ok v -> v
   | Error e -> Alcotest.failf "%s: %s" what (Lfs_vfs.Errors.to_string e)

@@ -141,6 +141,35 @@ struct
     let st = check_ok "stat dir" (F.stat fs "/d") in
     Alcotest.(check bool) "dir kind" true (st.Fs_intf.kind = Fs_intf.Directory)
 
+  (* Bad arguments are rejected before the path is resolved, with the
+     same error on both systems whether or not the file exists. *)
+  let test_bad_arguments fs =
+    write_file fs "/f" (pattern ~seed:8 100);
+    let expect what expected r =
+      match r with
+      | Error e when E.equal e expected -> ()
+      | Error e ->
+          Alcotest.failf "%s: expected %s, got %s" what (E.to_string expected)
+            (E.to_string e)
+      | Ok _ ->
+          Alcotest.failf "%s: expected %s, got Ok" what (E.to_string expected)
+    in
+    List.iter
+      (fun path ->
+        expect "read" (E.Einval "negative offset or length")
+          (F.read fs path ~off:(-1) ~len:10);
+        expect "read" (E.Einval "negative offset or length")
+          (F.read fs path ~off:0 ~len:(-1));
+        expect "write" (E.Einval "negative offset")
+          (F.write fs path ~off:(-1) (Bytes.of_string "x"));
+        expect "write" E.Efbig
+          (F.write fs path ~off:max_int (Bytes.of_string "x"));
+        expect "truncate" (E.Einval "negative size")
+          (F.truncate fs path ~size:(-1));
+        expect "truncate" E.Efbig (F.truncate fs path ~size:max_int))
+      [ "/f"; "/missing"; "/" ];
+    check_bytes "untouched" (pattern ~seed:8 100) (read_all fs "/f")
+
   (* Every conformance test runs under the always-on sanitizer: after
      the test body, sync and require the system's structural self-check
      to come back clean, so a test that corrupts an invariant fails
@@ -171,6 +200,7 @@ struct
         ("hard links", test_hard_links);
         ("fsync", test_fsync);
         ("stat", test_stat_fields);
+        ("bad arguments", test_bad_arguments);
       ]
 end
 

@@ -9,7 +9,7 @@ module Imap = Lfs_core.Imap
 module Inode = Lfs_core.Inode
 module Inode_store = Lfs_core.Inode_store
 module Layout = Lfs_core.Layout
-module Namespace = Lfs_core.Namespace
+module Block_file = Lfs_core.Block_file
 module Seg_usage = Lfs_core.Seg_usage
 module State = Lfs_core.State
 
@@ -34,7 +34,7 @@ let make_sound () =
   fs
 
 let inum_of fs path =
-  Namespace.resolve fs
+  Block_file.resolve fs
     (List.filter (fun c -> c <> "") (String.split_on_char '/' path))
 
 let rendered issues =
@@ -109,7 +109,7 @@ let test_bad_dir_entry () =
 let test_orphan_inode () =
   let fs = make_sound () in
   let inum = inum_of fs "/f1" in
-  Namespace.remove fs ~dir:State.root_inum "f1";
+  Block_file.remove fs ~dir:State.root_inum "f1";
   let issues = Check.fsck fs in
   let found =
     List.exists
@@ -212,6 +212,42 @@ let test_ffs_leaked_block () =
   Alcotest.(check bool) "leaked block detected" true found;
   assert_rendered "ffs leaked block" "referenced by nothing" (ffs_rendered issues)
 
+(* An allocated inode whose inode block reads back as zeros (a clobbered
+   block on the media) does not load after a remount: fsck reports it
+   and the usage recomputation skips it rather than dying. *)
+let test_unreadable_inode () =
+  let fs = Common.make_lfs () in
+  Common.check_ok "mkdir" (Fs.mkdir fs "/d");
+  Common.write_file fs "/d/f" (Common.pattern ~seed:4 5000);
+  Fs.sync fs;
+  (* Dirty the root again, so its inode moves to a newer inode block and
+     the one holding /d and /d/f holds no other live inode. *)
+  Common.write_file fs "/g" (Common.pattern ~seed:5 100);
+  Fs.unmount fs;
+  let inum = inum_of fs "/d/f" in
+  let addr, _slot = Option.get (Imap.location fs.State.imap inum) in
+  let root_addr, _ = Option.get (Imap.location fs.State.imap State.root_inum) in
+  Alcotest.(check bool) "root inode elsewhere" true (root_addr <> addr);
+  let layout = Fs.layout fs in
+  let io = Fs.io fs in
+  Lfs_disk.Io.sync_write io
+    ~sector:(Layout.sector_of_block layout addr)
+    (Bytes.make layout.Layout.block_size '\000');
+  let fs =
+    match Fs.mount ~config:Common.small_config io with
+    | Ok fs -> fs
+    | Error e -> Alcotest.failf "remount: %s" e
+  in
+  ignore (Check.usage_drift fs);
+  let issues = Check.fsck fs in
+  let found =
+    List.exists
+      (function Check.Unreadable { inum = i; _ } -> i = inum | _ -> false)
+      issues
+  in
+  Alcotest.(check bool) "unreadable inode reported" true found;
+  assert_rendered "unreadable inode" "unreadable" (rendered issues)
+
 let suite =
   [
     ("lfs: double reference", `Quick, test_double_reference);
@@ -220,6 +256,7 @@ let suite =
     ("lfs: bad dir entry", `Quick, test_bad_dir_entry);
     ("lfs: orphan inode", `Quick, test_orphan_inode);
     ("lfs: usage drift", `Quick, test_usage_drift);
+    ("lfs: unreadable inode", `Quick, test_unreadable_inode);
     ("ffs: bad nlink", `Quick, test_ffs_bad_nlink);
     ("ffs: lost block", `Quick, test_ffs_lost_block);
     ("ffs: leaked block", `Quick, test_ffs_leaked_block);

@@ -228,12 +228,12 @@ let test_writeback_age_trigger () =
 let test_checkpoint_interval_trigger () =
   let fs = make_lfs () in
   let io = Fs.io fs in
-  let before = (Fs.stats fs).Lfs_core.State.checkpoints in
+  let before = lfs_counter fs "checkpoints" in
   write_file fs "/tick" (pattern ~seed:22 500);
   Lfs_disk.Io.charge_cpu io 31_000_000;
   ignore (check_ok "read" (Fs.read fs "/tick" ~off:0 ~len:10));
   Alcotest.(check bool) "periodic checkpoint ran" true
-    ((Fs.stats fs).Lfs_core.State.checkpoints > before)
+    (lfs_counter fs "checkpoints" > before)
 
 let test_atime_survives_checkpointed_remount () =
   (* The access time lives in the inode map (paper, footnote 2), which is

@@ -61,6 +61,63 @@ let test_cleaning_preserves_large_file () =
   Fs.flush_caches fs;
   check_bytes "big file intact" data (read_all fs "/big")
 
+(* A victim whose summary no longer decodes cannot be evacuated: the
+   cleaner cannot tell which of its blocks are live, so it must leave the
+   segment dirty rather than free data Seg_usage says is still there. *)
+let test_unreadable_summary_keeps_segment () =
+  (* Full-size segments, so each file's segment is mostly empty and a
+     cleaning candidate. *)
+  let config = Config.default in
+  let fs = make_lfs ~config () in
+  let io = Fs.io fs in
+  let remount () =
+    match Fs.mount ~config io with
+    | Ok fs -> fs
+    | Error e -> Alcotest.failf "remount: %s" e
+  in
+  check_ok "mkdir" (Fs.mkdir fs "/d");
+  Fs.unmount fs;
+  (* One mount per file, as separate tool runs would do. *)
+  for i = 1 to 5 do
+    let fs = remount () in
+    write_file fs (Printf.sprintf "/d/f%d" i) (pattern ~seed:i (3000 * i));
+    Fs.unmount fs
+  done;
+  let fs = remount () in
+  let layout = Fs.layout fs in
+  let f5 = Lfs_core.Block_file.regular fs "/d/f5" in
+  let seg =
+    Lfs_core.Layout.segment_of_block layout
+      (Lfs_core.Inode_store.bmap_read fs f5 0)
+  in
+  Alcotest.(check bool) "victim holds live data" true
+    (Seg_usage.live_bytes fs.Lfs_core.State.usage seg > 0);
+  Io.sync_write io
+    ~sector:
+      (Lfs_core.Layout.sector_of_block layout
+         (Lfs_core.Layout.segment_first_block layout seg))
+    (Bytes.make
+       (layout.Lfs_core.Layout.summary_blocks
+      * layout.Lfs_core.Layout.block_size)
+       '\000');
+  let fs = remount () in
+  ignore (Fs.clean_now ~target:max_int fs);
+  Alcotest.(check bool) "victim still dirty" true
+    (Seg_usage.state fs.Lfs_core.State.usage seg = Seg_usage.Dirty);
+  (* Churn the other files through the log, so a wrongly freed segment
+     would be overwritten. *)
+  for round = 0 to 20 do
+    for i = 1 to 4 do
+      check_ok "overwrite"
+        (Fs.write fs (Printf.sprintf "/d/f%d" i) ~off:0
+           (pattern ~seed:(round + (10 * i)) 40_000))
+    done;
+    Fs.sync fs;
+    ignore (Fs.clean_now fs)
+  done;
+  Fs.flush_caches fs;
+  check_bytes "f5 intact" (pattern ~seed:5 15_000) (read_all fs "/d/f5")
+
 let test_log_wraps () =
   (* Total bytes written far exceed the disk: the log must wrap through
      cleaned segments indefinitely. *)
@@ -73,7 +130,7 @@ let test_log_wraps () =
     Fs.sync fs
   done;
   (* ~8 MB written through a 4 MB disk. *)
-  Alcotest.(check bool) "cleaner ran" true ((Fs.stats fs).Lfs_core.State.segments_cleaned > 0)
+  Alcotest.(check bool) "cleaner ran" true (lfs_counter fs "segments_cleaned" > 0)
 
 let test_greedy_picks_emptiest () =
   let fs = make_lfs ~config:no_autoclean () in
@@ -200,6 +257,8 @@ let suite =
     Alcotest.test_case "preserves data" `Quick test_cleaning_preserves_data;
     Alcotest.test_case "preserves large file" `Quick
       test_cleaning_preserves_large_file;
+    Alcotest.test_case "unreadable summary keeps segment" `Quick
+      test_unreadable_summary_keeps_segment;
     Alcotest.test_case "log wraps" `Quick test_log_wraps;
     Alcotest.test_case "greedy picks emptiest" `Quick test_greedy_picks_emptiest;
     Alcotest.test_case "all policies preserve data" `Quick test_policies_all_run;

@@ -6,7 +6,7 @@ module Config = Lfs_core.Config
 module Geometry = Lfs_disk.Geometry
 module Imap = Lfs_core.Imap
 module Layout = Lfs_core.Layout
-module Namespace = Lfs_core.Namespace
+module Block_file = Lfs_core.Block_file
 module Seg_usage = Lfs_core.Seg_usage
 module Segwriter = Lfs_core.Segwriter
 module Summary = Lfs_core.Summary
@@ -70,11 +70,10 @@ let test_segwriter_fills_and_rolls () =
   let nblocks = layout.Lfs_core.Layout.payload_blocks + 3 in
   write_file fs "/big" (pattern ~seed:1 (nblocks * bs));
   Lfs_core.Fs.sync fs;
-  let stats = Lfs_core.Fs.stats fs in
   Alcotest.(check bool) "multiple segments written" true
-    (stats.Lfs_core.State.segments_written >= 2);
+    (lfs_counter fs "segments_written" >= 2);
   Alcotest.(check bool) "partials counted" true
-    (stats.Lfs_core.State.partial_segments >= 1);
+    (lfs_counter fs "partial_segments" >= 1);
   Alcotest.(check int) "buffer drained" 0 (Segwriter.active_blocks fs)
 
 (* Namespace: directory growth across blocks *)

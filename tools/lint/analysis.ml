@@ -23,11 +23,14 @@
        summaries.  Unqualified identifiers resolve only inside their
        own module (locals and stdlib functions carry no effect).
      - `include M` re-registers M's bindings under the including
-       module; `module X = A.B` is expanded through a per-file alias
-       table; functor applications and first-class modules unpacked in
-       patterns ((module F) — virtual dispatch) are opaque (no effect
-       assumed — every effect primitive in this codebase is called by
-       name, and the packed implementations are analyzed on their own).
+       module, and `include F (X)` re-registers F's body the same way;
+       `module X = A.B` is expanded through a per-file alias table;
+       bound functor applications (`module X = F (Y)`), functor
+       parameters and first-class modules unpacked in patterns
+       ((module F) — virtual dispatch) are opaque (no effect assumed —
+       every effect primitive in this codebase is called by name, and
+       the packed implementations and functor arguments are analyzed on
+       their own).
      - A qualified call into a module that is neither defined in the
        unit nor on the known-benign list (stdlib, vendored externals,
        the project's own layer names) is UNKNOWN and contributes every
@@ -466,11 +469,20 @@ let collect_file col file (ast : Parsetree.structure) =
     col.c_defs <- d :: col.c_defs;
     d
   in
-  let record_module_expr name me =
+  let rec record_module_expr name me =
     match unwrap_module_expr me with
     | Parsetree.Pmod_ident { txt; _ } ->
         fi.aliases <- (name, flatten txt) :: fi.aliases
     | Pmod_apply _ -> fi.opaque <- name :: fi.opaque
+    | Pmod_functor (param, body) ->
+        (* Calls through a functor parameter are virtual dispatch, opaque
+           like (module F) unpacked in a pattern; each instantiation's
+           argument is analyzed on its own. *)
+        (match param with
+        | Named ({ txt = Some p; _ }, _) when not (List.mem p fi.opaque) ->
+            fi.opaque <- p :: fi.opaque
+        | Named _ | Unit -> ());
+        record_module_expr name body
     | _ -> ()
   in
   let open Ast_iterator in
@@ -600,6 +612,13 @@ let collect_file col file (ast : Parsetree.structure) =
               (match unwrap_module_expr incl.pincl_mod with
               | Pmod_ident { txt; _ } ->
                   fi.includes <- (!modpath, flatten txt) :: fi.includes
+              | Pmod_apply (fn, _) -> (
+                  (* include F (X): the functor body's bindings, whose
+                     calls through F's parameter are opaque. *)
+                  match unwrap_module_expr fn with
+                  | Pmod_ident { txt; _ } ->
+                      fi.includes <- (!modpath, flatten txt) :: fi.includes
+                  | _ -> ())
               | _ -> ());
               default_iterator.structure_item iter si
           | Pstr_open od ->
