@@ -40,7 +40,8 @@ let () =
 
   (* 4. Everything so far lives in the file cache: no disk write has
      happened yet.  sync pushes a segment out. *)
-  let writes () = (Io.disk_stats io).Lfs_disk.Disk.writes in
+  let disk_writes = Lfs_obs.Metrics.counter (Io.metrics io) "disk.writes" in
+  let writes () = Lfs_obs.Metrics.value disk_writes in
   Printf.printf "disk writes before sync: %d\n" (writes ());
   Fs.sync fs;
   Printf.printf "disk writes after sync:  %d (one segment write)\n" (writes ());

@@ -19,13 +19,11 @@ let () =
       (fun inst ->
         let r = W.Smallfile.run ~nfiles ~file_size:1024 inst in
         (* Show what the disk actually did. *)
-        let io = W.Driver.io inst in
-        let stats = Lfs_disk.Io.disk_stats io in
+        let disk name = W.Driver.counter inst ("disk." ^ name) in
         Printf.printf
           "%s: %d disk writes, %d disk reads, %d seeks, disk busy %.1f s\n"
-          (W.Driver.label inst) stats.Lfs_disk.Disk.writes
-          stats.Lfs_disk.Disk.reads stats.Lfs_disk.Disk.seeks
-          (float_of_int stats.Lfs_disk.Disk.busy_us /. 1e6);
+          (W.Driver.label inst) (disk "writes") (disk "reads") (disk "seeks")
+          (float_of_int (disk "busy_us") /. 1e6);
         r)
       (W.Setup.both ~disk_mb:128 ())
   in

@@ -105,7 +105,7 @@ let evict_clean_keeping keep t =
     Lru.sweep_lru
       (fun k e ->
         if !excess <= 0 then Lru.Stop
-        else if e.is_dirty || keep = Some k then Lru.Keep
+        else if e.is_dirty || k = keep then Lru.Keep
         else begin
           decr excess;
           Metrics.incr t.c_evictions;
@@ -115,8 +115,6 @@ let evict_clean_keeping keep t =
         end)
       t.entries
   end
-
-let evict_clean t = evict_clean_keeping None t
 
 (* Dirty bookkeeping: [ndirty] and the dirty list change together. *)
 let link_dirty t e =
@@ -143,7 +141,7 @@ let insert t key ~dirty data =
   let e = make_entry data ~dirty:false ~since:(Clock.now_us t.clock) in
   if dirty then link_dirty t e;
   ignore (Lru.add t.entries key e);
-  evict_clean_keeping (Some key) t
+  evict_clean_keeping key t
 
 let mark_dirty t key =
   match Lru.peek t.entries key with
@@ -199,9 +197,3 @@ let stats_hits t = Metrics.value t.c_hits
 let stats_misses t = Metrics.value t.c_misses
 let stats_evictions t = Metrics.value t.c_evictions
 let stats_writebacks t = Metrics.value t.c_writebacks
-
-let reset_stats t =
-  Metrics.reset_counter t.c_hits;
-  Metrics.reset_counter t.c_misses;
-  Metrics.reset_counter t.c_evictions;
-  Metrics.reset_counter t.c_writebacks

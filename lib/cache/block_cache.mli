@@ -94,10 +94,6 @@ val oldest_dirty_age_us : t -> int option
 val over_capacity : t -> bool
 (** True when dirty blocks alone keep the cache above capacity. *)
 
-val evict_clean : t -> unit
-(** Reclaim clean LRU entries while over capacity (also runs inside
-    {!insert}). *)
-
 val drop_clean : t -> unit
 (** Drop every clean entry — the paper's "file cache was flushed" between
     benchmark phases, without touching unwritten data. *)
@@ -109,14 +105,10 @@ val stats_misses : t -> int
 (** [find] hit/miss counters (a miss is a [find] returning [None]). *)
 
 val stats_evictions : t -> int
-(** Clean entries reclaimed by capacity pressure ({!evict_clean}) —
+(** Clean entries reclaimed by capacity pressure (inside {!insert}) —
     deliberate flushes ({!drop_clean}, {!remove}, {!clear}) don't
     count. *)
 
 val stats_writebacks : t -> int
 (** Dirty entries released by {!mark_clean} (the block reached disk or a
     segment buffer). *)
-
-val reset_stats : t -> unit
-(** Zero hit/miss/eviction/write-back counters, mirroring
-    [Disk.reset_stats]. *)

@@ -77,6 +77,11 @@ let validate t =
   else if t.clean_target_segments < t.clean_threshold_segments then
     err "clean_target_segments below clean_threshold_segments"
   else if t.reserve_segments < 1 then err "reserve_segments must be >= 1"
+  else if t.clean_target_segments <= t.reserve_segments then
+    (* Such a cleaner declares itself done while user writes, which may
+       not dip into the reserve, are still refused. *)
+    err "clean_target_segments %d must exceed reserve_segments %d"
+      t.clean_target_segments t.reserve_segments
   else if t.max_live_fraction <= 0.0 || t.max_live_fraction > 1.0 then
     err "max_live_fraction must be in (0, 1]"
   else Ok ()

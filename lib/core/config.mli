@@ -60,4 +60,4 @@ val small : t
 
 val validate : t -> (unit, string) result
 (** Check internal consistency (divisibility, positive sizes, thresholds
-    ordered). *)
+    ordered, a cleaning target above the reserve). *)

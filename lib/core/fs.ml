@@ -12,31 +12,28 @@ let io (st : t) = st.io
 let config (st : t) = st.config
 let layout (st : t) = st.layout
 
-(* Flush user data, alternating with cleaning passes whenever the log
-   runs out of clean segments.  Raises [Enospc] only when the cleaner can
-   no longer free anything (the disk is genuinely full of live data). *)
-let rec flush_user (st : t) =
-  try Write_path.flush_data st ~privilege:`User
+(* Run a user-privilege log write [f], alternating with cleaning passes
+   whenever the log runs out of clean segments.  Retry only if cleaning
+   netted segments above the reserve — otherwise [f] would fail
+   identically and loop forever.  When the disk is genuinely full of live
+   data the result is [when_full ()], by default raising [Enospc]. *)
+let rec with_cleaning ?(when_full = fun () -> Errors.raise_ Errors.Enospc)
+    (st : t) f =
+  try f ()
   with Errors.Error Errors.Enospc ->
-    (* Retry only if cleaning netted segments above the reserve —
-       otherwise flushing would fail identically and loop forever. *)
     if
       Cleaner.clean_to_target st > 0
       && Seg_usage.nclean st.usage > st.config.Config.reserve_segments
-    then flush_user st
-    else Errors.raise_ Errors.Enospc
+    then with_cleaning ~when_full st f
+    else when_full ()
+
+let flush_user (st : t) =
+  with_cleaning st (fun () -> Write_path.flush_data st ~privilege:`User)
 
 (* Checkpoints outside the cleaner run at user privilege so they can
-   never starve the cleaner of reserve segments; they too alternate with
-   cleaning passes when space is tight. *)
-let rec checkpoint_user (st : t) =
-  try Write_path.checkpoint ~privilege:`User st
-  with Errors.Error Errors.Enospc ->
-    if
-      Cleaner.clean_to_target st > 0
-      && Seg_usage.nclean st.usage > st.config.Config.reserve_segments
-    then checkpoint_user st
-    else Errors.raise_ Errors.Enospc
+   never starve the cleaner of reserve segments. *)
+let checkpoint_user (st : t) =
+  with_cleaning st (fun () -> Write_path.checkpoint ~privilege:`User st)
 
 (* The triggers of §4.3.5 plus periodic checkpointing, checked on the way
    out of every operation.  With [can_fail:false] (read-only operations
@@ -224,25 +221,17 @@ let exists (st : t) path =
 let sync (st : t) =
   Profile.with_op st.bus `Sync @@ fun () ->
   Io.charge_syscall st.io;
-  let rec attempt () =
-    try Write_path.sync st ~privilege:`User
-    with Errors.Error Errors.Enospc ->
-      (* Try to make room; if the disk is genuinely full the dirty data
-         stays buffered — there is nowhere to put it. *)
-      if
-        Cleaner.clean_to_target st > 0
-        && Seg_usage.nclean st.usage > st.config.Config.reserve_segments
-      then attempt ()
-  in
-  attempt ()
+  (* If the disk is genuinely full the dirty data stays buffered — there
+     is nowhere to put it. *)
+  with_cleaning ~when_full:ignore st (fun () ->
+      Write_path.sync st ~privilege:`User)
 
 let fsync (st : t) path =
   Errors.wrap (fun () ->
       Profile.with_op st.bus `Fsync @@ fun () ->
       Io.charge_syscall st.io;
       let inum = Block_file.resolve_path st path in
-      let rec attempt () =
-        try
+      with_cleaning st (fun () ->
           Write_path.flush_file st ~privilege:`User inum;
           (* The whole chain of directory entries leading to the name
              must be durable, or the file would be unreachable after a
@@ -260,15 +249,7 @@ let fsync (st : t) path =
               flush_chain State.root_inum parent
           | Error _ -> ());
           Segwriter.flush_active st;
-          Io.drain st.io
-        with Errors.Error Errors.Enospc ->
-          if
-            Cleaner.clean_to_target st > 0
-            && Seg_usage.nclean st.usage > st.config.Config.reserve_segments
-          then attempt ()
-          else Errors.raise_ Errors.Enospc
-      in
-      attempt ())
+          Io.drain st.io))
 
 let flush_caches (st : t) =
   sync st;

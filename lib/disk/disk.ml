@@ -39,7 +39,6 @@ let cell_value c =
 type t = {
   geometry : Geometry.t;
   store : Bytes.t;
-  metrics : Metrics.t;
   c_reads : cell;
   c_writes : cell;
   c_sectors_read : cell;
@@ -82,7 +81,6 @@ let create ?metrics ?member geometry =
   {
     geometry;
     store = Bytes.make (Geometry.size_bytes geometry) '\000';
-    metrics;
     c_reads = { agg = Metrics.counter metrics "disk.reads"; own = own_reads };
     c_writes = { agg = Metrics.counter metrics "disk.writes"; own = own_writes };
     c_sectors_read =
@@ -116,29 +114,23 @@ let set_fault_hook t hook = t.fault_hook <- hook
 
 let geometry t = t.geometry
 
-(* Compatibility view: the record is rebuilt from the registry counters
-   on every call.  Readers see the same numbers as before the registry
-   existed; writes to the returned record go nowhere. *)
-let stats_of value t =
+(* The record is rebuilt from this disk's registry counters on every
+   call; writes to the returned record go nowhere. *)
+let stats t =
   {
-    reads = value t.c_reads;
-    writes = value t.c_writes;
-    sectors_read = value t.c_sectors_read;
-    sectors_written = value t.c_sectors_written;
-    seeks = value t.c_seeks;
-    busy_us = value t.c_busy_us;
+    reads = cell_value t.c_reads;
+    writes = cell_value t.c_writes;
+    sectors_read = cell_value t.c_sectors_read;
+    sectors_written = cell_value t.c_sectors_written;
+    seeks = cell_value t.c_seeks;
+    busy_us = cell_value t.c_busy_us;
   }
-
-let stats t = stats_of cell_value t
-let aggregate_stats t = stats_of (fun c -> Metrics.value c.agg) t
 
 let seek_count t = cell_value t.c_seeks
 let busy_us t = cell_value t.c_busy_us
 let positioning_us t = cell_value t.c_positioning_us
 let last_was_streamed t = t.last_streamed
 let head_sector t = t.next_sector
-
-let reset_stats t = Metrics.reset_prefix t.metrics "disk."
 
 let check_range t sector count =
   if sector < 0 || count <= 0 || sector + count > t.geometry.Geometry.sectors then

@@ -61,12 +61,9 @@ val set_fault_hook : t -> fault_hook option -> unit
 (** Install (or clear) the fault hook.  At most one hook is active. *)
 
 val stats : t -> stats
-(** Compatibility view over this disk's counters: a fresh record per
-    call.  Mutating the returned record has no effect. *)
-
-val aggregate_stats : t -> stats
-(** The same view over the registry's aggregate [disk.*] counters — on a
-    shared registry, the sum over every member disk. *)
+(** This disk's counters as a fresh record per call; mutating it has no
+    effect.  The volume totals are the registry's aggregate [disk.*]
+    counters. *)
 
 val seek_count : t -> int
 (** Cheap accessor for [disk.seeks]. *)
@@ -91,9 +88,6 @@ val last_was_streamed : t -> bool
     request that merely lands on the same cylinder skips the seek (so
     [seek_count] is unchanged) but still pays rotational latency and is
     not sequential. *)
-
-val reset_stats : t -> unit
-(** Zero the [disk.*] counters (other registry entries are untouched). *)
 
 val read : ?start_us:int -> t -> sector:int -> count:int -> bytes * int
 (** [read t ~sector ~count] returns the data of [count] sectors and the

@@ -2,27 +2,18 @@ module Bus = Lfs_obs.Bus
 module Event = Lfs_obs.Event
 module Metrics = Lfs_obs.Metrics
 
-type request = {
-  issued_at_us : int;
-  kind : [ `Read | `Write ];
-  sync : bool;
-  sector : int;
-  sectors : int;
-  service_us : int;
-  sequential : bool;
-}
-
 exception Read_failed of { sector : int; attempts : int }
 
 (* Every member of the volume ("lane") has its own busy horizon and
    request queue — a plain disk is simply the one-lane case, running the
-   exact same code paths. *)
+   exact same code paths.  Every request passes through the lane's queue;
+   with the default bound of 0 it is dispatched inside the call that
+   enqueued it, which is issue-order service. *)
 type lane = {
   l_member : int;
   l_disk : Disk.t;
   mutable l_busy_until_us : int;
-  mutable l_sched : Sched.t option;
-      (* None = immediate issue-order service *)
+  mutable l_sched : Sched.t;
 }
 
 type t = {
@@ -48,10 +39,9 @@ type t = {
   read_attempts : int;
   retry_backoff_us : int;
   mutable max_queue : int;
-  mutable audit : Bus.sink option;  (* the legacy request log, as a sink *)
+      (* pending requests a lane may hold past an async write; 0 until a
+         discipline is installed *)
 }
-
-let is_disk_request = function Event.Disk_request _ -> true | _ -> false
 
 let of_volume ?(max_backlog_us = 2_000_000) ?(read_attempts = 4)
     ?(retry_backoff_us = 1_000) volume clock cpu =
@@ -67,7 +57,7 @@ let of_volume ?(max_backlog_us = 2_000_000) ?(read_attempts = 4)
             l_member = i;
             l_disk = Volume.member_disk volume i;
             l_busy_until_us = 0;
-            l_sched = None;
+            l_sched = Sched.create Sched.Fcfs;
           });
     clock;
     cpu;
@@ -89,8 +79,7 @@ let of_volume ?(max_backlog_us = 2_000_000) ?(read_attempts = 4)
     max_backlog_us;
     read_attempts;
     retry_backoff_us;
-    max_queue = 32;
-    audit = None;
+    max_queue = 0;
   }
 
 (* A plain disk: one member striped in a single chunk, the identity map. *)
@@ -137,10 +126,6 @@ let record t ~kind ~sync ~sector ~sectors ~service_us ~sequential =
 
 let sector_size t = (geometry t).Geometry.sector_size
 
-(* Without a scheduler the lane serves requests in issue order; a request
-   begins when both the caller and the member device are ready. *)
-let start_time t lane = max (now_us t) lane.l_busy_until_us
-
 let max_busy t =
   Array.fold_left (fun acc l -> max acc l.l_busy_until_us) 0 t.lanes
 
@@ -163,15 +148,15 @@ let emit_volume_op t ~op ~sector ~sectors ~runs =
   if members t > 1 && Bus.enabled t.bus then
     Bus.emit t.bus (Event.Volume_op { op; sector; sectors; runs })
 
-(* Retry loop shared by the immediate and queued read paths.  A failed
-   attempt costs only the retry backoff: the fault hook rejects the
-   request before the device computes a service time, so the head never
-   moves and the clock advances by the (exponentially growing) wait
-   between attempts.  A retry starts no earlier than the end of its
-   backoff, whatever start time the service path would otherwise pick. *)
-let read_with_retries t lane ~start ~sector ~count ~sync =
+(* Read retry loop.  A read starts when the member is free and the
+   request has arrived.  A failed attempt costs only the retry backoff:
+   the fault hook rejects the request before the device computes a
+   service time, so the head never moves and the clock advances by the
+   (exponentially growing) wait between attempts.  A retry starts no
+   earlier than the end of its backoff. *)
+let read_with_retries t lane ~arrival_us ~sector ~count ~sync =
   let rec attempt n ~not_before =
-    let start_us = max (start ()) not_before in
+    let start_us = max (max lane.l_busy_until_us arrival_us) not_before in
     match Disk.read ~start_us lane.l_disk ~sector ~count with
     | data, service_us ->
         let sequential = Disk.last_was_streamed lane.l_disk in
@@ -191,35 +176,34 @@ let read_with_retries t lane ~start ~sector ~count ~sync =
   in
   attempt 1 ~not_before:0
 
-(* Service one write of [data]'s first [len] bytes on a lane from
-   [start]. *)
-let write_at t lane ~start ~sync ~sector ~len data =
-  let service_us = Disk.write ~start_us:start ~len lane.l_disk ~sector data in
-  record t ~kind:`Write ~sync ~sector
-    ~sectors:(len / sector_size t)
-    ~service_us
-    ~sequential:(Disk.last_was_streamed lane.l_disk);
-  lane.l_busy_until_us <- start + service_us
-
 (* Service one queued request.  The member worked through its queue in
    the background: the request starts when the member is free and the
    request has arrived — time that may already lie in the past by the
    moment the dispatch order is decided (lazy dispatch still charges the
-   device as if it ran continuously).  Returns the payload for reads. *)
-let dispatch_entry t lane q (e : Sched.entry) =
-  let start () = max lane.l_busy_until_us e.Sched.arrival_us in
-  let wait_us = start () - e.Sched.arrival_us in
-  let depth = Sched.length q in
+   device as if it ran continuously).  A write's payload may be longer
+   than the request: only its first [count] sectors are written.
+   Returns the payload for reads. *)
+let dispatch_entry t lane (e : Sched.entry) =
+  let arrival_us = e.Sched.arrival_us in
+  let start = max lane.l_busy_until_us arrival_us in
+  let wait_us = start - arrival_us in
+  let depth = Sched.length lane.l_sched in
   let payload =
     match e.Sched.kind with
     | `Write ->
-        let data = Option.get e.Sched.data in
-        write_at t lane ~start:(start ()) ~sync:e.Sched.sync
-          ~sector:e.Sched.sector ~len:(Bytes.length data) data;
+        let service_us =
+          Disk.write ~start_us:start
+            ~len:(e.Sched.count * sector_size t)
+            lane.l_disk ~sector:e.Sched.sector (Option.get e.Sched.data)
+        in
+        record t ~kind:`Write ~sync:e.Sched.sync ~sector:e.Sched.sector
+          ~sectors:e.Sched.count ~service_us
+          ~sequential:(Disk.last_was_streamed lane.l_disk);
+        lane.l_busy_until_us <- start + service_us;
         None
     | `Read ->
         Some
-          (read_with_retries t lane ~start ~sector:e.Sched.sector
+          (read_with_retries t lane ~arrival_us ~sector:e.Sched.sector
              ~count:e.Sched.count ~sync:e.Sched.sync)
   in
   Metrics.observe t.h_queue_wait wait_us;
@@ -229,17 +213,14 @@ let dispatch_entry t lane q (e : Sched.entry) =
 
 (* The oldest entry is always eligible, so a non-empty queue always
    dispatches: no livelock. *)
-let dispatch_next t lane q =
-  match Sched.select q ~head:(Disk.head_sector lane.l_disk) with
+let dispatch_next t lane =
+  match Sched.select lane.l_sched ~head:(Disk.head_sector lane.l_disk) with
   | None -> None
-  | Some e -> Some (e, dispatch_entry t lane q e)
+  | Some e -> Some (e, dispatch_entry t lane e)
 
 let dispatch_lane t lane =
-  match lane.l_sched with
-  | None -> ()
-  | Some q ->
-      let rec go () = if dispatch_next t lane q <> None then go () in
-      go ()
+  let rec go () = if Option.is_some (dispatch_next t lane) then go () in
+  go ()
 
 let dispatch_all t = Array.iter (dispatch_lane t) t.lanes
 
@@ -247,15 +228,16 @@ let dispatch_all t = Array.iter (dispatch_lane t) t.lanes
    returns its read payload.  Requests the discipline ranks ahead of the
    target are serviced first — this is the convoy a synchronous caller
    pays behind a deep queue. *)
-let dispatch_until t lane q ~id =
+let dispatch_until t lane ~id =
   let rec go () =
-    match dispatch_next t lane q with
+    match dispatch_next t lane with
     | None -> None
     | Some (e, payload) -> if e.Sched.id = id then payload else go ()
   in
   go ()
 
-let enqueue t q ~kind ~sync ~sector ~count ~data =
+let enqueue t lane ~kind ~sync ~sector ~count ~data =
+  let q = lane.l_sched in
   let e =
     Sched.enqueue q ~kind ~sync ~sector ~count ~data ~arrival_us:(now_us t)
   in
@@ -281,7 +263,7 @@ let write_runs t ~op ~sector ~len data =
    logical request, the first [len] bytes of [data].  A run as long as
    the request covers it in order (a plain disk, a mirror replica, a
    request inside one chunk), so the original buffer is returned as-is —
-   callers that enqueue must copy its prefix then. *)
+   an async write that may leave it queued must copy its prefix then. *)
 let gather ~ss ~len data run =
   if run.Volume.count * ss = len then data
   else begin
@@ -305,57 +287,42 @@ let scatter ~ss data run out =
       pos := !pos + len)
     run.Volume.pieces
 
-(* ---- per-run service, shared by every request path ---- *)
+(* ---- per-run service: every request passes through its lane's queue ---- *)
 
-(* One read run on one lane, honouring that lane's queue if present. *)
+(* One read run on one lane. *)
 let lane_read_run t lane ~sector ~count ~sync =
-  match lane.l_sched with
-  | None ->
-      read_with_retries t lane ~start:(fun () -> start_time t lane) ~sector
-        ~count ~sync
-  | Some q ->
-      let e = enqueue t q ~kind:`Read ~sync ~sector ~count ~data:None in
-      (match dispatch_until t lane q ~id:e.Sched.id with
-      | Some d -> d
-      | None -> assert false)
+  let e = enqueue t lane ~kind:`Read ~sync ~sector ~count ~data:None in
+  Option.get (dispatch_until t lane ~id:e.Sched.id)
 
 (* One synchronous write run on one lane (payload already gathered and
    owned by the caller). *)
 let lane_sync_write_run t lane ~sector data =
-  match lane.l_sched with
-  | None ->
-      write_at t lane ~start:(start_time t lane) ~sync:true ~sector
-        ~len:(Bytes.length data) data
-  | Some q ->
-      let count = Bytes.length data / sector_size t in
-      let e =
-        enqueue t q ~kind:`Write ~sync:true ~sector ~count
-          ~data:(Some data)
-      in
-      ignore (dispatch_until t lane q ~id:e.Sched.id : bytes option)
+  let count = Bytes.length data / sector_size t in
+  let e =
+    enqueue t lane ~kind:`Write ~sync:true ~sector ~count ~data:(Some data)
+  in
+  ignore (dispatch_until t lane ~id:e.Sched.id : bytes option)
 
 (* One asynchronous write run of [data]'s first [len] bytes on one lane.
-   [owned] says whether [data] (then exactly [len] bytes) may be handed
-   to the queue without copying. *)
+   [owned] says whether [data] (then exactly [len] bytes) may stay queued
+   without copying. *)
 let lane_async_write_run t lane ~sector ~owned ~len data =
-  match lane.l_sched with
-  | None ->
-      write_at t lane ~start:(start_time t lane) ~sync:false ~sector ~len data
-  | Some q ->
-      let count = len / sector_size t in
-      (* The queue owns the payload from here: copy exactly the prefix so
-         a caller reusing its buffer cannot retroactively change a pending
-         write. *)
-      let payload = if owned then data else Bytes.sub data 0 len in
-      let (_ : Sched.entry) =
-        enqueue t q ~kind:`Write ~sync:false ~sector ~count
-          ~data:(Some payload)
-      in
-      (* Bounded queue: past [max_queue] pending requests the member must
-         make room before the caller may continue. *)
-      while Sched.length q > t.max_queue do
-        ignore (dispatch_next t lane q : (Sched.entry * bytes option) option)
-      done
+  (* A request that may outlive this call must own its payload: copy
+     exactly the prefix so a caller reusing its buffer cannot
+     retroactively change a pending write.  A bound-0 lane dispatches it
+     before returning, so the caller's buffer is safe to use as is. *)
+  let payload =
+    if owned || t.max_queue = 0 then data else Bytes.sub data 0 len
+  in
+  let (_ : Sched.entry) =
+    enqueue t lane ~kind:`Write ~sync:false ~sector
+      ~count:(len / sector_size t) ~data:(Some payload)
+  in
+  (* Bounded queue: past [max_queue] pending requests the member must
+     make room before the caller may continue. *)
+  while Sched.length lane.l_sched > t.max_queue do
+    ignore (dispatch_next t lane : (Sched.entry * bytes option) option)
+  done
 
 (* ---- mirror read load balancing ---- *)
 
@@ -364,7 +331,7 @@ let lane_async_write_run t lane ~sector ~owned ~len data =
    member index (deterministic tie-break). *)
 let mirror_order t ~sector =
   let score lane =
-    let qlen = match lane.l_sched with None -> 0 | Some q -> Sched.length q in
+    let qlen = Sched.length lane.l_sched in
     let head = Disk.head_sector lane.l_disk in
     (qlen, max 0 (lane.l_busy_until_us - now_us t), abs (head - sector),
      lane.l_member)
@@ -480,10 +447,7 @@ let note_clustered_write t ~blocks =
   Metrics.add t.c_clustered_write_blocks blocks
 
 let queue_depth t =
-  Array.fold_left
-    (fun acc lane ->
-      acc + match lane.l_sched with None -> 0 | Some q -> Sched.length q)
-    0 t.lanes
+  Array.fold_left (fun acc lane -> acc + Sched.length lane.l_sched) 0 t.lanes
 
 let drain t =
   let pending = queue_depth t > 0 || max_busy t > Clock.now_us t.clock in
@@ -496,22 +460,22 @@ let drain t =
   if Bus.enabled t.bus && pending then Bus.with_span t.bus "io_drain" go
   else go ()
 
-let scheduler t = Option.map Sched.discipline t.lanes.(0).l_sched
+(* A bound-0 lane is the default; only an installed discipline queues. *)
+let scheduler t =
+  if t.max_queue = 0 then None
+  else Some (Sched.discipline t.lanes.(0).l_sched)
 
 let set_scheduler ?(max_queue = 32) t d =
   if max_queue < 1 then invalid_arg "Io.set_scheduler: max_queue < 1";
   (* Flush any pending queues under the old policy before switching, so a
      policy change can never reorder requests issued before it. *)
   dispatch_all t;
-  t.max_queue <- max_queue;
-  Array.iter
-    (fun lane ->
-      lane.l_sched <-
-        (match d with None -> None | Some disc -> Some (Sched.create disc)))
-    t.lanes
+  let discipline, bound =
+    match d with None -> (Sched.Fcfs, 0) | Some d -> (d, max_queue)
+  in
+  t.max_queue <- bound;
+  Array.iter (fun lane -> lane.l_sched <- Sched.create discipline) t.lanes
 
-(* The registry's aggregate disk.* counters, read through any member. *)
-let disk_stats t = Disk.aggregate_stats t.lanes.(0).l_disk
 let member_stats t i = Disk.stats (member_disk t i)
 
 let snapshot_media t =
@@ -521,46 +485,7 @@ let snapshot_media t =
   Volume.snapshot t.volume
 
 let restore_media t media =
-  Array.iter
-    (fun lane -> match lane.l_sched with Some q -> Sched.clear q | None -> ())
-    t.lanes;
+  Array.iter (fun lane -> Sched.clear lane.l_sched) t.lanes;
   Volume.restore t.volume media
 
 let backlog_us t = max 0 (max_busy t - Clock.now_us t.clock)
-
-let recording t = t.audit <> None
-
-let set_recording t on =
-  match (t.audit, on) with
-  | None, true ->
-      t.audit <- Some (Bus.attach ~filter:is_disk_request t.bus)
-  | Some _, true ->
-      (* Already recording: keep the prefix.  (Historically this cleared
-         the log — a footgun that silently dropped the Figure 1/2 audit
-         when tracing was enabled mid-run.) *)
-      ()
-  | Some sink, false ->
-      Bus.detach t.bus sink;
-      t.audit <- None
-  | None, false -> ()
-
-let request_of_record (r : Event.record) =
-  match r.Event.event with
-  | Event.Disk_request { kind; sync; sector; sectors; service_us; sequential }
-    ->
-      Some
-        {
-          issued_at_us = r.Event.at_us;
-          kind = (match kind with Event.Read -> `Read | Event.Write -> `Write);
-          sync;
-          sector;
-          sectors;
-          service_us;
-          sequential;
-        }
-  | _ -> None
-
-let requests t =
-  match t.audit with
-  | None -> []
-  | Some sink -> List.filter_map request_of_record (Bus.records sink)

@@ -13,33 +13,36 @@
     - [drain] waits for the device to go idle ([sync]/[fsync], and phase
       boundaries in benchmarks).
 
-    By default requests are serviced immediately in issue order (the
-    single-caller model).  {!set_scheduler} installs a real per-device
-    request queue with a {!Sched.discipline}: asynchronous writes pool
-    in the queue and are dispatched in discipline order — head position
-    and queue depth then determine positioning cost, so reordering
-    (SCAN/C-SCAN) is a measurable optimisation.  Synchronous requests
-    join the same queue and wait for their turn, which models the convoy
-    a synchronous caller suffers behind a deep queue.  Overlapping
-    requests never reorder (see {!Sched}), so data semantics are
-    unchanged.
+    {b One request path.}  Every request enters its member's request
+    queue ({!Sched}) and is dispatched from there.  The queue's bound
+    says how many requests an asynchronous write may leave pending.  By
+    default the bound is 0 and the discipline FCFS: each request is
+    dispatched inside the call that enqueued it, which is issue-order
+    service (the single-caller model).  {!set_scheduler} installs a
+    discipline with a positive bound: asynchronous writes then pool in
+    the queue and are dispatched in discipline order — head position and
+    queue depth determine positioning cost, so reordering (SCAN/C-SCAN)
+    is a measurable optimisation.  Synchronous requests join the same
+    queue and wait for their turn, which models the convoy a synchronous
+    caller suffers behind a deep queue.  Overlapping requests never
+    reorder (see {!Sched}), so data semantics are unchanged.
 
     Every request is published on the instance's {!Lfs_obs.Bus} as a
-    [Disk_request] event and observed in the [io.*] registry histograms;
-    the legacy request log ({!set_recording}/{!requests}) is a thin view
-    over a bus sink.  The Figure 1/2 experiment audits it to show FFS's
-    eight small random writes versus LFS's single large sequential
-    one.
+    [Disk_request] event, its queue activity as [Disk_queue] events, and
+    observed in the [io.*] registry histograms.  The Figure 1/2
+    experiment attaches a [Disk_request] sink to show FFS's eight small
+    random writes versus LFS's single large sequential one; device
+    counters are the registry's [disk.*] counters ({!metrics}).
 
     {b Always a volume.}  The device behind the scheduler is a {!Volume}
     of N member disks ({!of_volume}); a plain disk is the one-member
     volume whose map is the identity ({!of_geometry}).  Each member has
-    its own busy horizon and — when a scheduler is installed — its own
-    request queue, all sharing the clock.  Requests are split by the
-    volume's address map into at most one contiguous run per member, the
-    runs issued together, and a synchronous caller resumes when the
-    slowest member finishes: an N-member striped segment write completes
-    in roughly [1/N] of the single-disk media time.  A run that covers
+    its own busy horizon and request queue, all sharing the clock.
+    Requests are split by the volume's address map into at most one
+    contiguous run per member, the runs issued together, and a
+    synchronous caller resumes when the slowest member finishes: an
+    N-member striped segment write completes in roughly [1/N] of the
+    single-disk media time.  A run that covers
     the whole request is passed through without copying, so a one-member
     volume costs what a bare disk did.  Mirror reads pick the replica
     with the shallowest queue / earliest horizon / closest head and fail
@@ -49,18 +52,6 @@
     [Disk_request]s (with member-local sectors). *)
 
 type t
-
-type request = {
-  issued_at_us : int;
-  kind : [ `Read | `Write ];
-  sync : bool;
-  sector : int;
-  sectors : int;
-  service_us : int;
-  sequential : bool;
-      (** continued the previous transfer exactly, paying no positioning
-          delay (neither seek nor rotational latency) *)
-}
 
 exception Read_failed of { sector : int; attempts : int }
 (** A read kept failing ({!Disk.Read_fault}) until the retry budget ran
@@ -76,8 +67,7 @@ val of_volume :
   Cpu_model.t ->
   t
 (** Mount a {!Volume} behind the scheduler.  Every member gets its own
-    busy horizon and (with {!set_scheduler}) its own queue; options apply
-    to all members.
+    busy horizon and its own queue; options apply to all members.
 
     Default backlog: 2 s of queued device time (roughly two segment
     writes ahead on the paper's disk).
@@ -148,9 +138,10 @@ val async_write : ?len:int -> t -> sector:int -> bytes -> unit
 (** [async_write ?len t ~sector data] writes the first [len] bytes of
     [data] (default: all of it; a positive multiple of the sector size).
     The caller keeps ownership of [data] and may reuse the buffer as soon
-    as the call returns: an immediate lane writes it through at once, and
-    a queued lane copies exactly the [len]-byte prefix it needs, because
-    the queue must own its payload.
+    as the call returns: a bound-0 lane (the default) dispatches the
+    request before returning, and a lane with a positive bound copies
+    exactly the [len]-byte prefix it needs, because the queue must own
+    a payload that may stay pending.
     @raise Invalid_argument if [len] is not a positive multiple of the
     sector size, exceeds [data], or the request lies outside the
     volume. *)
@@ -162,34 +153,30 @@ val drain : t -> unit
 (** {1 Request scheduling} *)
 
 val set_scheduler : ?max_queue:int -> t -> Sched.discipline option -> unit
-(** Install a request-scheduling discipline (or revert to immediate
-    issue-order service with [None]).  Any requests pending under the
+(** Install a request-scheduling discipline with a queue bound of
+    [max_queue] requests (default 32), or revert to issue-order service
+    with [None]: FCFS with bound 0.  Any requests pending under the
     previous policy are dispatched first, so a policy change can never
     reorder requests issued before it.
 
-    With a scheduler installed, [async_write] enqueues and returns; the
-    queue is bounded at [max_queue] requests (default 32) — beyond that
-    the caller dispatches until the queue fits, then the
-    [max_backlog_us] throttle applies as before.  [sync_read] /
-    [sync_write] enqueue themselves and dispatch in discipline order
-    until serviced.  Queue activity is published as [Disk_queue] bus
-    events and observed in [io.queue.depth] / [io.queue.wait_us]. *)
+    [async_write] enqueues; while the queue holds more than its bound the
+    caller dispatches, then the [max_backlog_us] throttle applies.
+    [sync_read] / [sync_write] enqueue themselves and dispatch in
+    discipline order until serviced.  Queue activity is published as
+    [Disk_queue] bus events and observed in [io.queue.depth] /
+    [io.queue.wait_us], whatever the bound. *)
 
 val scheduler : t -> Sched.discipline option
-(** The installed discipline, if any. *)
+(** The installed discipline; [None] for the default bound-0 lanes. *)
 
 val queue_depth : t -> int
-(** Number of requests currently pending across all member queues (0 when
-    no scheduler is installed). *)
-
-val disk_stats : t -> Disk.stats
-(** The sanctioned way for workloads and bench code to read device
-    counters without naming [Disk]: the registry's aggregate [disk.*]
-    counters, i.e. the sum over all members. *)
+(** Number of requests currently pending across all member queues (always
+    0 between calls on bound-0 lanes). *)
 
 val member_stats : t -> int -> Disk.stats
-(** {!disk_stats} for one member — the per-spindle view ([disk.<i>.*])
-    without naming [Disk]. *)
+(** Member [i]'s device counters — the per-spindle view ([disk.<i>.*])
+    without naming [Disk].  The volume totals are the registry's
+    aggregate [disk.*] counters. *)
 
 val snapshot_media : t -> bytes
 (** Copy of the underlying media — member media concatenated in member
@@ -216,19 +203,3 @@ val note_clustered_write : t -> blocks:int -> unit
 
 val backlog_us : t -> int
 (** Queued device time not yet reached by the clock. *)
-
-(** {1 Request log}
-
-    A compatibility view over the trace bus: recording attaches an
-    internal unbounded sink filtered to [Disk_request] events. *)
-
-val recording : t -> bool
-
-val set_recording : t -> bool -> unit
-(** Enable/disable the request log (disabled by default).  Enabling when
-    already enabled is a no-op — the log prefix is {e kept}, so turning
-    tracing on mid-run can never silently drop an audit prefix (it used
-    to clear the log).  Disabling discards the log. *)
-
-val requests : t -> request list
-(** Recorded requests, oldest first.  Empty when recording is off. *)

@@ -79,36 +79,41 @@ let by_sector_asc a b =
 let by_sector_desc a b =
   match compare b.sector a.sector with 0 -> compare a.id b.id | c -> c
 
+(* Elevator: keep sweeping in the current direction, serving the nearest
+   eligible request ahead of the head; reverse only when nothing is left
+   on that side. *)
+let scan t ~head elig =
+  let above = List.filter (fun e -> e.sector >= head) elig in
+  let below = List.filter (fun e -> e.sector < head) elig in
+  match (t.upward, above, below) with
+  | true, _ :: _, _ -> Option.get (min_by by_sector_asc above)
+  | true, [], _ ->
+      t.upward <- false;
+      Option.get (min_by by_sector_desc below)
+  | false, _, _ :: _ -> Option.get (min_by by_sector_desc below)
+  | false, _, [] ->
+      t.upward <- true;
+      Option.get (min_by by_sector_asc above)
+
+(* One-directional sweep: nearest eligible request at or above the head,
+   wrapping to the lowest sector when the sweep runs off the end.
+   Bounded starvation: every request waits at most one full sweep. *)
+let cscan ~head elig =
+  match List.filter (fun e -> e.sector >= head) elig with
+  | _ :: _ as above -> Option.get (min_by by_sector_asc above)
+  | [] -> Option.get (min_by by_sector_asc elig)
+
 let select t ~head =
-  match eligible t with
+  match t.entries with
   | [] -> None
-  | elig ->
-      let above = List.filter (fun e -> e.sector >= head) elig in
-      let below = List.filter (fun e -> e.sector < head) elig in
+  | oldest :: rest ->
       let chosen =
         match t.discipline with
-        | Fcfs -> List.hd elig
-        | Scan -> (
-            (* Elevator: keep sweeping in the current direction, serving
-               the nearest request ahead of the head; reverse only when
-               nothing is left on that side. *)
-            match (t.upward, above, below) with
-            | true, _ :: _, _ -> Option.get (min_by by_sector_asc above)
-            | true, [], _ ->
-                t.upward <- false;
-                Option.get (min_by by_sector_desc below)
-            | false, _, _ :: _ -> Option.get (min_by by_sector_desc below)
-            | false, _, [] ->
-                t.upward <- true;
-                Option.get (min_by by_sector_asc above))
-        | Cscan -> (
-            (* One-directional sweep: nearest request at or above the
-               head, wrapping to the lowest sector when the sweep runs
-               off the end.  Bounded starvation: every request waits at
-               most one full sweep. *)
-            match above with
-            | _ :: _ -> Option.get (min_by by_sector_asc above)
-            | [] -> Option.get (min_by by_sector_asc elig))
+        | Fcfs -> oldest  (* nothing older to overlap: always eligible *)
+        | Scan -> scan t ~head (eligible t)
+        | Cscan -> cscan ~head (eligible t)
       in
-      t.entries <- List.filter (fun e -> e.id <> chosen.id) t.entries;
+      t.entries <-
+        (if chosen == oldest then rest
+         else List.filter (fun e -> e.id <> chosen.id) t.entries);
       Some chosen

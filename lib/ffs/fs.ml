@@ -770,7 +770,7 @@ let mount ?(config = Config.default) io =
       done;
       Ok t
 
-(* --- Structural verification (re-exported as Lfs_ffs.Check) ---------- *)
+(* --- Structural verification ------------------------------------------ *)
 
 (* The FFS counterpart of Lfs_core.Check: cylinder-group bitmaps vs the
    blocks actually reachable from allocated inodes, plus the same

@@ -45,9 +45,9 @@ val free_blocks : t -> int
 
 (** {1 Structural verification}
 
-    Prefer {!Check}, which re-exports these under their conventional
-    name; they live here because the checker needs the block-map and
-    directory internals. *)
+    The counterpart of {!Lfs_core.Check}, so both systems in every figure
+    run under the same audit.  It lives here because the checker needs
+    the block-map and directory internals. *)
 
 type issue =
   | Double_reference of { addr : int; owners : string list }
@@ -72,11 +72,21 @@ type issue =
 val pp_issue : Format.formatter -> issue -> unit
 
 val fsck : t -> issue list
-(** Full structural verification of the live state: walk every
-    allocated inode's block pointers checking ownership, cross-check
-    the cylinder-group bitmaps against the reachable-block truth, and
-    walk the namespace from the root validating entries, link counts
-    and reachability.  Empty means sound. *)
+(** Full structural verification of the live (cache-coherent) state.
+    An empty list means the file system is structurally sound.
+
+    Invariants checked (all update-in-place hazards the paper's §3
+    baseline lives with):
+
+    - every block reachable from an allocated inode (direct, indirect,
+      double-indirect) is owned by exactly one structure and lies in a
+      data region, not the superblock or a bitmap/inode-table area;
+    - the cylinder-group block bitmaps agree with reachability: group
+      metadata is permanently allocated, and a data block is marked
+      used iff something references it (no leaks, no lost blocks);
+    - the namespace is sound: every directory entry resolves to an
+      allocated inode, link counts match entry counts, and every
+      allocated inode is reachable from the root. *)
 
 val integrity : t -> string list
 (** {!fsck} rendered with {!pp_issue} — the {!Lfs_vfs.Fs_intf.S}

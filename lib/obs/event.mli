@@ -45,9 +45,10 @@ type t =
           (** dispatch only: simulated time the request waited between
               arrival and reaching the device *)
     }
-      (** Request-queue activity when a scheduling discipline is
-          installed on {!Lfs_disk.Io} ([`Enqueue]: a request entered the
-          queue; [`Dispatch]: the discipline handed it to the device). *)
+      (** Request-queue activity on {!Lfs_disk.Io}, for every request
+          ([`Enqueue]: a request entered its member's queue; [`Dispatch]:
+          the discipline handed it to the device).  With the default
+          bound of 0 each enqueue is followed by its dispatch. *)
   | Client_op of { client : int; op : string; latency_us : int }
       (** One completed operation of a concurrent-engine client: [op] is
           the operation name (["create"], ["read"], ["overwrite"],

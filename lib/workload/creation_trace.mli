@@ -1,7 +1,8 @@
 (** The §3.1 two-file creation example (Figures 1 and 2).
 
-    Runs the paper's creat/write/close pair against a file system with
-    request recording enabled, flushes the delayed writes, and reports
+    Runs the paper's creat/write/close pair against a file system with a
+    [Disk_request] sink on its trace bus, flushes the delayed writes, and
+    reports
     every disk write that resulted — enough to show FFS's small random
     writes (half synchronous) versus LFS's single large sequential
     transfer. *)
@@ -12,7 +13,8 @@ type summary = {
   sync_writes : int;
   sequential_writes : int;
   sectors_written : int;
-  requests : Lfs_disk.Io.request list;  (** write requests, in order *)
+  requests : Lfs_obs.Event.record list;
+      (** the write [Disk_request] records, in order *)
 }
 
 val run : Lfs_vfs.Fs_intf.instance -> summary

@@ -31,7 +31,8 @@ type config = {
   delete_fraction : float;  (** remainder of the mix creates files *)
   discipline : Lfs_disk.Sched.discipline option;
       (** installed on the instance's [Io] for the measured window;
-          [None] runs the legacy immediate-service model *)
+          [None] keeps the default bound-0 FCFS lanes (issue-order
+          service, reported as ["immediate"]) *)
   max_queue : int;  (** device queue bound (see {!Lfs_disk.Io.set_scheduler}) *)
 }
 

@@ -221,17 +221,20 @@ let segsize nfiles =
           if i mod 200 = 199 then Driver.sync inst
         done;
         Driver.sync inst;
-        let stats = Io.disk_stats (Driver.io inst) in
+        let disk name = counter (Driver.io inst) ("disk." ^ name) in
+        let sectors_written = disk "sectors_written" in
+        let busy_us = disk "busy_us" in
+        let seeks = disk "seeks" in
         Driver.sanitize inst;
         let bandwidth =
-          float_of_int (stats.Disk.sectors_written * 512)
-          /. (float_of_int stats.Disk.busy_us /. 1e6)
+          float_of_int (sectors_written * 512)
+          /. (float_of_int busy_us /. 1e6)
           /. 1024.0
         in
         [
           Table.fmt_bytes segment_size;
           Table.fmt_float ~decimals:0 bandwidth;
-          string_of_int stats.Disk.seeks;
+          string_of_int seeks;
         ])
       [ 64 * 1024; 256 * 1024; 1 lsl 20; 4 lsl 20 ]
   in
@@ -416,8 +419,8 @@ let cache events =
         in
         let measure inst =
           let r = Trace.replay inst events in
-          let stats = Io.disk_stats (Driver.io inst) in
-          (r.Trace.ops_per_sec, stats.Disk.sectors_read * 512)
+          ( r.Trace.ops_per_sec,
+            counter (Driver.io inst) "disk.sectors_read" * 512 )
         in
         let lfs_ops, lfs_read =
           measure (Setup.lfs ~disk_mb:128 ~config:lfs_config ())
@@ -536,9 +539,8 @@ let readahead_measure ~file_mb inst =
   Driver.flush_caches inst;
   let io = Driver.io inst in
   let snap () =
-    let s = Io.disk_stats io in
-    ( s.Disk.reads,
-      s.Disk.sectors_read,
+    ( counter io "disk.reads",
+      counter io "disk.sectors_read",
       List.map (fun (_, name) -> counter io name) reread_counters )
   in
   let reads0, sectors0, counts0 = snap () in
@@ -1068,7 +1070,7 @@ module Scaleout = struct
     Driver.sync inst;
     let elapsed_us = max 1 (Io.now_us io - t0) in
     let seeks = List.map2 ( - ) (member_seeks ()) seeks_at_start in
-    let stats = Io.disk_stats io in
+    let sectors_written = counter io "disk.sectors_written" in
     Driver.sanitize inst;
     let mbs =
       float_of_int (p.files * p.file_size)
@@ -1086,7 +1088,7 @@ module Scaleout = struct
         ("members", J.Int members); ("files", J.Int p.files);
         ("file_size", J.Int p.file_size); ("elapsed_us", J.Int elapsed_us);
         ("write_mb_per_sec", J.Float mbs);
-        ("sectors_written", J.Int stats.Disk.sectors_written);
+        ("sectors_written", J.Int sectors_written);
         ("seeks_per_member_max", J.Int max_seeks);
         ("seeks_per_member_min", J.Int (List.fold_left min max_int seeks));
       ]

@@ -61,7 +61,7 @@ module Concurrency : sig
     ops : int;  (** ... of this many operations per client *)
     disk_mb : int;
     disciplines : Lfs_disk.Sched.discipline option list;
-        (** [None] is the immediate-service model *)
+        (** [None] is issue-order service on bound-0 lanes *)
     per_client : bool;  (** also render each client's latencies *)
   }
 

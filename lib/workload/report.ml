@@ -78,12 +78,16 @@ let fig12 (results : Creation_trace.summary list) =
     (fun (r : Creation_trace.summary) ->
       Buffer.add_string buf (Printf.sprintf "\n%s write trace:\n" r.Creation_trace.label);
       List.iter
-        (fun (req : Lfs_disk.Io.request) ->
-          Buffer.add_string buf
-            (Printf.sprintf "  sector %7d  %4d sectors  %s %s\n"
-               req.Lfs_disk.Io.sector req.Lfs_disk.Io.sectors
-               (if req.Lfs_disk.Io.sync then "sync " else "async")
-               (if req.Lfs_disk.Io.sequential then "sequential" else "seek")))
+        (fun (req : Lfs_obs.Event.record) ->
+          match req.Lfs_obs.Event.event with
+          | Lfs_obs.Event.Disk_request { sector; sectors; sync; sequential; _ }
+            ->
+              Buffer.add_string buf
+                (Printf.sprintf "  sector %7d  %4d sectors  %s %s\n" sector
+                   sectors
+                   (if sync then "sync " else "async")
+                   (if sequential then "sequential" else "seek"))
+          | _ -> ())
         r.Creation_trace.requests)
     results;
   Buffer.contents buf

@@ -31,6 +31,36 @@ let lfs_counter fs name =
        (Lfs_obs.Metrics.snapshot (Io.metrics (Lfs_core.Fs.io fs)))
        ("lfs." ^ name))
 
+(* One [Disk_request] bus event. *)
+type request = {
+  kind : Lfs_obs.Event.disk_kind;
+  sync : bool;
+  sector : int;
+  sectors : int;
+  sequential : bool;
+}
+
+(* The disk requests [f] issues, oldest first, read from a sink on the
+   stack's trace bus. *)
+let disk_requests io f =
+  let bus = Io.bus io in
+  let sink =
+    Lfs_obs.Bus.attach
+      ~filter:(function Lfs_obs.Event.Disk_request _ -> true | _ -> false)
+      bus
+  in
+  Fun.protect ~finally:(fun () -> Lfs_obs.Bus.detach bus sink) f;
+  List.filter_map
+    (fun (r : Lfs_obs.Event.record) ->
+      match r.Lfs_obs.Event.event with
+      | Lfs_obs.Event.Disk_request
+          { kind; sync; sector; sectors; sequential; _ } ->
+          Some { kind; sync; sector; sectors; sequential }
+      | _ -> None)
+    (Lfs_obs.Bus.records sink)
+
+let writes_only = List.filter (fun r -> r.kind = Lfs_obs.Event.Write)
+
 let check_ok what = function
   | Ok v -> v
   | Error e -> Alcotest.failf "%s: %s" what (Lfs_vfs.Errors.to_string e)

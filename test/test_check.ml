@@ -142,7 +142,6 @@ let test_usage_drift () =
 (* FFS: the same philosophy against the cylinder-group structures. *)
 
 module F = Lfs_ffs.Fs
-module Fcheck = Lfs_ffs.Check
 module Falloc = Lfs_ffs.Alloc
 module Finode = Lfs_ffs.Inode
 
@@ -163,16 +162,16 @@ let make_sound_ffs () =
   fs
 
 let ffs_rendered issues =
-  List.map (fun i -> Format.asprintf "%a" Fcheck.pp_issue i) issues
+  List.map (fun i -> Format.asprintf "%a" F.pp_issue i) issues
 
 let test_ffs_bad_nlink () =
   let fs = make_sound_ffs () in
   (F.inode_of fs F.root_inum).Finode.nlink <- 7;
-  let issues = Fcheck.fsck fs in
+  let issues = F.fsck fs in
   let found =
     List.exists
       (function
-        | Fcheck.Bad_nlink { inum; nlink = 7; _ } -> inum = F.root_inum
+        | F.Bad_nlink { inum; nlink = 7; _ } -> inum = F.root_inum
         | _ -> false)
       issues
   in
@@ -185,11 +184,11 @@ let test_ffs_lost_block () =
      marked free in its cylinder-group bitmap. *)
   let addr = (F.inode_of fs F.root_inum).Finode.direct.(0) in
   Falloc.free_block (F.alloc fs) addr;
-  let issues = Fcheck.fsck fs in
+  let issues = F.fsck fs in
   let found =
     List.exists
       (function
-        | Fcheck.Lost_block { addr = a; _ } -> a = addr | _ -> false)
+        | F.Lost_block { addr = a; _ } -> a = addr | _ -> false)
       issues
   in
   Alcotest.(check bool) "lost block detected" true found;
@@ -203,10 +202,10 @@ let test_ffs_leaked_block () =
     | Some a -> a
     | None -> Alcotest.fail "no free block to leak"
   in
-  let issues = Fcheck.fsck fs in
+  let issues = F.fsck fs in
   let found =
     List.exists
-      (function Fcheck.Leaked_block { addr = a } -> a = addr | _ -> false)
+      (function F.Leaked_block { addr = a } -> a = addr | _ -> false)
       issues
   in
   Alcotest.(check bool) "leaked block detected" true found;

@@ -161,23 +161,24 @@ let test_io_throttling () =
   Alcotest.(check bool) "throttled" true (Clock.now_us clock > 0);
   Alcotest.(check bool) "backlog capped" true (Io.backlog_us io <= 100_000)
 
+(* Every request appears on the trace bus as a [Disk_request], in issue
+   order, with its sync flag and kind. *)
 let test_io_request_log () =
   let io, _, _ = make_io () in
-  Io.set_recording io true;
-  Io.sync_write io ~sector:0 (Bytes.make 512 'x');
-  Io.async_write io ~sector:8 (Bytes.make 512 'x');
-  ignore (Io.sync_read io ~sector:0 ~count:1);
-  let reqs = Io.requests io in
+  let reqs =
+    Common.disk_requests io (fun () ->
+        Io.sync_write io ~sector:0 (Bytes.make 512 'x');
+        Io.async_write io ~sector:8 (Bytes.make 512 'x');
+        ignore (Io.sync_read io ~sector:0 ~count:1))
+  in
   Alcotest.(check int) "three requests" 3 (List.length reqs);
-  (match reqs with
+  match reqs with
   | [ w1; w2; r ] ->
-      Alcotest.(check bool) "w1 sync" true w1.Io.sync;
-      Alcotest.(check bool) "w2 async" false w2.Io.sync;
-      Alcotest.(check bool) "r is read" true (r.Io.kind = `Read)
-  | _ -> Alcotest.fail "unexpected log shape");
-  Io.set_recording io false;
-  Io.sync_write io ~sector:0 (Bytes.make 512 'x');
-  Alcotest.(check int) "log cleared and off" 0 (List.length (Io.requests io))
+      Alcotest.(check bool) "w1 sync" true w1.Common.sync;
+      Alcotest.(check bool) "w2 async" false w2.Common.sync;
+      Alcotest.(check bool) "r is read" true
+        (r.Common.kind = Lfs_obs.Event.Read)
+  | _ -> Alcotest.fail "unexpected log shape"
 
 let test_cpu_model () =
   let m = Cpu_model.sun4_260 in

@@ -25,17 +25,16 @@ let test_create_is_synchronous () =
   let io = Fs.io fs in
   check_ok "mkdir" (Fs.mkdir fs "/d");
   Fs.sync fs;
-  Io.set_recording io true;
-  check_ok "create" (Fs.create fs "/d/f");
   let writes =
-    List.filter (fun r -> r.Io.kind = `Write) (Io.requests io)
+    Common.writes_only
+      (Common.disk_requests io (fun () ->
+           check_ok "create" (Fs.create fs "/d/f")))
   in
-  Io.set_recording io false;
   (* The defining behaviour the paper attacks: creat writes the inode
      table block and the directory block synchronously, before returning. *)
   Alcotest.(check int) "two writes" 2 (List.length writes);
   List.iter
-    (fun r -> Alcotest.(check bool) "synchronous" true r.Io.sync)
+    (fun r -> Alcotest.(check bool) "synchronous" true r.Common.sync)
     writes
 
 let test_lfs_create_is_asynchronous () =
@@ -45,11 +44,12 @@ let test_lfs_create_is_asynchronous () =
   let io = Lfs_core.Fs.io fs in
   Common.check_ok "mkdir" (Lfs_core.Fs.mkdir fs "/d");
   Lfs_core.Fs.sync fs;
-  Io.set_recording io true;
-  Common.check_ok "create" (Lfs_core.Fs.create fs "/d/f");
-  Alcotest.(check int) "no disk writes on create" 0
-    (List.length (List.filter (fun r -> r.Io.kind = `Write) (Io.requests io)));
-  Io.set_recording io false
+  let writes =
+    Common.writes_only
+      (Common.disk_requests io (fun () ->
+           Common.check_ok "create" (Lfs_core.Fs.create fs "/d/f")))
+  in
+  Alcotest.(check int) "no disk writes on create" 0 (List.length writes)
 
 let test_sequential_allocation () =
   let fs = make () in
@@ -60,9 +60,10 @@ let test_sequential_allocation () =
      read it back after a cache flush and count seeks. *)
   Fs.flush_caches fs;
   let io = Fs.io fs in
-  let before = (Io.disk_stats io).Lfs_disk.Disk.seeks in
+  let disk_seeks = Lfs_obs.Metrics.counter (Io.metrics io) "disk.seeks" in
+  let before = Lfs_obs.Metrics.value disk_seeks in
   ignore (check_ok "read" (Fs.read fs "/f" ~off:0 ~len:(16 * 1024)));
-  let seeks = (Io.disk_stats io).Lfs_disk.Disk.seeks - before in
+  let seeks = Lfs_obs.Metrics.value disk_seeks - before in
   Alcotest.(check bool)
     (Printf.sprintf "few seeks for sequential file (%d)" seeks)
     true (seeks <= 4)

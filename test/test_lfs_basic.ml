@@ -216,7 +216,10 @@ let test_writeback_age_trigger () =
      pushed to disk by ordinary activity, without any sync call. *)
   let fs = make_lfs () in
   let io = Fs.io fs in
-  let writes () = (Lfs_disk.Io.disk_stats io).Lfs_disk.Disk.writes in
+  let disk_writes =
+    Lfs_obs.Metrics.counter (Lfs_disk.Io.metrics io) "disk.writes"
+  in
+  let writes () = Lfs_obs.Metrics.value disk_writes in
   write_file fs "/aged" (pattern ~seed:21 3000);
   let writes_before = writes () in
   (* 31 simulated seconds pass; a read then triggers housekeeping. *)

@@ -21,6 +21,15 @@ let test_config_validation () =
       Config.default with
       Config.clean_target_segments = 2;
       clean_threshold_segments = 8;
+    };
+  (* A target at or below the reserve: the cleaner would stop while user
+     writes are still refused. *)
+  bad
+    {
+      Config.default with
+      Config.clean_threshold_segments = 2;
+      clean_target_segments = 4;
+      reserve_segments = 4;
     }
 
 let test_ffs_config_validation () =

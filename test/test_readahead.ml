@@ -177,18 +177,17 @@ let audited_scan make =
   Driver.write inst path ~off:0 (Driver.content ~seed:5 size);
   Driver.sync inst;
   Driver.flush_caches inst;
-  let io = Driver.io inst in
-  Io.set_recording io true;
   let step = 4 * 1024 in
-  for i = 0 to (size / step) - 1 do
-    ignore (Driver.read inst path ~off:(i * step) ~len:step)
-  done;
   let reads =
-    List.filter (fun r -> r.Io.kind = `Read) (Io.requests io)
+    List.filter
+      (fun r -> r.Common.kind = Lfs_obs.Event.Read)
+      (Common.disk_requests (Driver.io inst) (fun () ->
+           for i = 0 to (size / step) - 1 do
+             ignore (Driver.read inst path ~off:(i * step) ~len:step)
+           done))
   in
-  Io.set_recording io false;
   ( List.length reads,
-    List.fold_left (fun acc r -> acc + r.Io.sectors) 0 reads )
+    List.fold_left (fun acc r -> acc + r.Common.sectors) 0 reads )
 
 let check_scan_pair base fast =
   let base_n, base_sectors = audited_scan base in

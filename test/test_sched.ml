@@ -123,12 +123,10 @@ let issue_four io =
 
 let run_four discipline =
   let io, d, _ = make_io () in
-  Io.set_recording io true;
   Io.set_scheduler io discipline;
-  issue_four io;
-  let reqs = Io.requests io in
-  let order = List.map (fun r -> r.Io.sector) reqs in
-  let seq = List.map (fun r -> r.Io.sequential) reqs in
+  let reqs = Common.disk_requests io (fun () -> issue_four io) in
+  let order = List.map (fun r -> r.Common.sector) reqs in
+  let seq = List.map (fun r -> r.Common.sequential) reqs in
   (order, seq, (Disk.stats d).Disk.seeks, io)
 
 let test_reordering_sequential_flags () =
@@ -162,25 +160,33 @@ let test_read_your_writes_through_queue () =
   Alcotest.(check bytes) "read sees queued write" (payload 'R') got;
   Alcotest.(check int) "queue drained to the read" 0 (Io.queue_depth io)
 
-(* The queue owns its payload: an async write of a buffer's prefix,
-   queued behind FCFS, must write the bytes the buffer held at issue time
-   — exactly the prefix — even after the caller reuses the buffer, as the
-   segment writer does with its segment buffer. *)
+(* The caller keeps its buffer: an async write of a buffer's prefix must
+   write the bytes the buffer held at issue time — exactly the prefix —
+   even after the caller reuses the buffer, as the segment writer does
+   with its segment buffer.  A queue with a positive bound holds the
+   write past the call and must own a copy; a bound-0 lane has already
+   written it. *)
 let test_queued_prefix_owned () =
-  let io, _, _ = make_io () in
-  Io.set_scheduler io (Some Sched.Fcfs);
-  let buf = Bytes.make (3 * 4096) 'o' in
-  Bytes.fill buf 4096 4096 'p';
-  Io.async_write io ~len:8192 ~sector:64 buf;
-  Alcotest.(check int) "write pending" 1 (Io.queue_depth io);
-  Bytes.fill buf 0 (Bytes.length buf) 'z';
-  Io.drain io;
-  Alcotest.(check bytes) "first block as issued" (payload 'o')
-    (Io.sync_read io ~sector:64 ~count:8);
-  Alcotest.(check bytes) "second block as issued" (payload 'p')
-    (Io.sync_read io ~sector:72 ~count:8);
-  Alcotest.(check bytes) "nothing past the prefix" (Bytes.make 4096 '\000')
-    (Io.sync_read io ~sector:80 ~count:8)
+  List.iter
+    (fun (name, discipline, pending) ->
+      let io, _, _ = make_io () in
+      Io.set_scheduler io discipline;
+      let buf = Bytes.make (3 * 4096) 'o' in
+      Bytes.fill buf 4096 4096 'p';
+      Io.async_write io ~len:8192 ~sector:64 buf;
+      Alcotest.(check int) (name ^ ": writes pending") pending
+        (Io.queue_depth io);
+      Bytes.fill buf 0 (Bytes.length buf) 'z';
+      Io.drain io;
+      Alcotest.(check bytes) (name ^ ": first block as issued") (payload 'o')
+        (Io.sync_read io ~sector:64 ~count:8);
+      Alcotest.(check bytes) (name ^ ": second block as issued") (payload 'p')
+        (Io.sync_read io ~sector:72 ~count:8);
+      Alcotest.(check bytes)
+        (name ^ ": nothing past the prefix")
+        (Bytes.make 4096 '\000')
+        (Io.sync_read io ~sector:80 ~count:8))
+    [ ("fcfs", Some Sched.Fcfs, 1); ("bound 0", None, 0) ]
 
 let test_policy_change_dispatches_pending () =
   let io, _, _ = make_io () in
