@@ -319,38 +319,7 @@ let cmd_stats image json =
   if json then print_endline (Json.to_string_pretty (Metrics.to_json snap))
   else print_string (Metrics.render snap)
 
-(* Trace ops are colon-separated tokens so a whole scenario fits on one
-   command line: mkdir:/d create:/d/f write:/d/f:8192 read:/d/f
-   delete:/d/f sync *)
-let parse_op tok =
-  match String.split_on_char ':' tok with
-  | [ "mkdir"; p ] -> `Mkdir p
-  | [ "create"; p ] -> `Create p
-  | [ "write"; p; n ] -> (
-      match int_of_string_opt n with
-      | Some n when n >= 0 -> `Write (p, n)
-      | _ ->
-          Printf.eprintf "lfstool: trace: bad write size in %S\n" tok;
-          exit 2)
-  | [ "read"; p ] -> `Read p
-  | [ "delete"; p ] -> `Delete p
-  | [ "sync" ] -> `Sync
-  | _ ->
-      Printf.eprintf
-        "lfstool: trace: bad op %S (want mkdir:P create:P write:P:N read:P \
-         delete:P sync)\n"
-        tok;
-      exit 2
-
-let apply_op inst = function
-  | `Mkdir p -> Driver.mkdir inst p
-  | `Create p -> Driver.create inst p
-  | `Write (p, n) -> Driver.write inst p ~off:0 (Driver.content ~seed:7 n)
-  | `Read p ->
-      let stat = Driver.stat inst p in
-      ignore (Driver.read inst p ~off:0 ~len:stat.Lfs_vfs.Fs_intf.size)
-  | `Delete p -> Driver.delete inst p
-  | `Sync -> Driver.sync inst
+module Op = Lfs_workload.Op
 
 (* Replay [ops] on [inst] with a sink attached (a ring of [limit]
    records when given, unbounded otherwise), and emit the captured
@@ -364,7 +333,15 @@ let trace_instance ?limit inst ops =
   Bus.emit bus
     (Event.Note
        { name = "trace_begin"; fields = [ ("system", Json.String (Driver.label inst)) ] });
-  List.iter (apply_op inst) ops;
+  List.iteri
+    (fun i op ->
+      match Op.run inst op with
+      | Ok _ -> ()
+      | Error e ->
+          Printf.eprintf "lfstool: trace: op %d (%s): %s\n" (i + 1)
+            (Op.to_string op) (Lfs_vfs.Errors.to_string e);
+          exit 1)
+    ops;
   Bus.emit bus
     (Event.Note
        { name = "trace_end"; fields = [ ("system", Json.String (Driver.label inst)) ] });
@@ -384,10 +361,8 @@ let trace_instance ?limit inst ops =
    FFS (with --ffs) the same ops show synchronous inode and directory
    writes scattered over the disk. *)
 let default_trace_ops =
-  [
-    `Create "/trace0"; `Write ("/trace0", 1024);
-    `Create "/trace1"; `Write ("/trace1", 1024); `Sync;
-  ]
+  [ "create:/trace0"; "write:/trace0:1024"; "create:/trace1";
+    "write:/trace1:1024"; "sync" ]
 
 let cmd_trace image with_ffs limit ops =
   (match limit with
@@ -396,7 +371,12 @@ let cmd_trace image with_ffs limit ops =
       exit 2
   | Some _ | None -> ());
   let ops =
-    match ops with [] -> default_trace_ops | toks -> List.map parse_op toks
+    List.map
+      (fun tok ->
+        match Op.of_string tok with
+        | Ok op -> op
+        | Error e -> usage_error ("trace: " ^ e))
+      (if ops = [] then default_trace_ops else ops)
   in
   let fs = mount_image image in
   (* Tracing replays the ops in memory only; the image file is left
@@ -917,10 +897,11 @@ let () =
        Cmd.v
          (Cmd.info "trace"
             ~doc:
-              "Replay ops (mkdir:P create:P write:P:N read:P delete:P \
-               sync; default: two small file creations plus sync) against \
-               the image in memory and emit the trace-bus events as \
-               JSONL.  The image file is not modified.")
+              ("Replay ops (" ^ Op.grammar
+             ^ "; default: two small file creations plus sync) against \
+                the image in memory and emit the trace-bus events as \
+                JSONL.  An op that fails exits 1, a malformed op exits 2.  \
+                The image file is not modified."))
          Term.(const cmd_trace $ image $ with_ffs $ limit $ ops));
       (let workload =
          Arg.(

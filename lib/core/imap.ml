@@ -10,7 +10,6 @@ type t = {
   allocated : Bitset.t;
   dirty : Bitset.t;  (* per imap block *)
   entries_per_block : int;
-  mutable nallocated : int;
   mutable next_hint : int;
 }
 
@@ -25,12 +24,10 @@ let create layout =
     allocated = Bitset.create n;
     dirty = Bitset.create layout.Layout.n_imap_blocks;
     entries_per_block = Layout.imap_entries_per_block layout;
-    nallocated = 0;
     next_hint = 1;
   }
 
 let max_files t = Array.length t.addr
-let count_allocated t = t.nallocated
 
 let check t inum =
   if inum <= 0 || inum >= max_files t then
@@ -47,7 +44,6 @@ let alloc_specific t inum ~now_us =
   if Bitset.mem t.allocated inum then
     invalid_arg (Printf.sprintf "Imap.alloc_specific: inum %d already in use" inum);
   Bitset.set t.allocated inum;
-  t.nallocated <- t.nallocated + 1;
   t.addr.(inum) <- Layout.null_addr;
   t.slot.(inum) <- 0;
   t.atime.(inum) <- now_us;
@@ -81,7 +77,6 @@ let free t inum =
   if not (Bitset.mem t.allocated inum) then
     invalid_arg (Printf.sprintf "Imap.free: inum %d not allocated" inum);
   Bitset.clear t.allocated inum;
-  t.nallocated <- t.nallocated - 1;
   t.addr.(inum) <- Layout.null_addr;
   bump_version t inum
 
@@ -168,12 +163,6 @@ let load_block t ~idx block =
     t.atime.(i) <- Codec.read_int_as_i64 d;
     let was = Bitset.mem t.allocated i in
     let now = Codec.read_bool d in
-    if was && not now then begin
-      Bitset.clear t.allocated i;
-      t.nallocated <- t.nallocated - 1
-    end
-    else if now && not was then begin
-      Bitset.set t.allocated i;
-      t.nallocated <- t.nallocated + 1
-    end
+    if was && not now then Bitset.clear t.allocated i
+    else if now && not was then Bitset.set t.allocated i
   done

@@ -16,7 +16,6 @@ val create : Layout.t -> t
 (** All entries free, versions zero. *)
 
 val max_files : t -> int
-val count_allocated : t -> int
 
 val alloc : t -> now_us:int -> int option
 (** Allocate a free inode number ([None] when the map is full).  The

@@ -208,7 +208,6 @@ let clear_clean (st : State.t) =
     st.itable;
   Hashtbl.reset st.itable
 
-let loaded_count (st : State.t) = Hashtbl.length st.itable
 
 let release_block (st : State.t) addr ~bytes =
   if addr <> Layout.null_addr && addr >= st.layout.Layout.first_segment_block

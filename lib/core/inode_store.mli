@@ -54,5 +54,3 @@ val clear_clean : State.t -> unit
 val delete : State.t -> int -> unit
 (** Free a file: releases all its blocks' live-byte accounting, drops its
     cache entries and inum.  The file must be in the table or on disk. *)
-
-val loaded_count : State.t -> int

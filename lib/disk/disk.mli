@@ -53,7 +53,7 @@ val create : ?metrics:Lfs_obs.Metrics.t -> ?member:int -> Geometry.t -> t
     the shared aggregate [disk.*] counters (get-or-create on the common
     registry, so they sum over members) and its own [disk.<i>.*] family —
     the per-spindle view.  Per-disk accessors below ({!stats},
-    {!seek_count}, …) always report this disk alone. *)
+    {!busy_us}, …) always report this disk alone. *)
 
 val geometry : t -> Geometry.t
 
@@ -64,9 +64,6 @@ val stats : t -> stats
 (** This disk's counters as a fresh record per call; mutating it has no
     effect.  The volume totals are the registry's aggregate [disk.*]
     counters. *)
-
-val seek_count : t -> int
-(** Cheap accessor for [disk.seeks]. *)
 
 val busy_us : t -> int
 
@@ -86,7 +83,7 @@ val last_was_streamed : t -> bool
     transfer ended (an exact continuation of the access pattern).  This
     is the correct "sequential" classification for the request audit: a
     request that merely lands on the same cylinder skips the seek (so
-    [seek_count] is unchanged) but still pays rotational latency and is
+    [disk.seeks] is unchanged) but still pays rotational latency and is
     not sequential. *)
 
 val read : ?start_us:int -> t -> sector:int -> count:int -> bytes * int

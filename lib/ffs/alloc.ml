@@ -92,11 +92,6 @@ let free_inode t inum =
   Bitset.clear t.inode_maps.(g) (inum mod t.layout.Layout.inodes_per_group);
   t.dirty.(g) <- true
 
-let free_inode_count t =
-  Array.fold_left (fun acc m -> acc + Bitset.length m - Bitset.cardinal m) 0
-    t.inode_maps
-  |> fun n -> n - 0
-
 (* Blocks *)
 
 let block_allocated t addr =

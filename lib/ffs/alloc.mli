@@ -33,7 +33,6 @@ val alloc_inode : t -> group:int -> spread:bool -> int option
 
 val free_inode : t -> int -> unit
 val inode_allocated : t -> int -> bool
-val free_inode_count : t -> int
 
 (** {1 Blocks} *)
 

@@ -1,6 +1,8 @@
 (* A pure reference file system: the specification both LFS and FFS are
-   tested against.  Paths are component lists.  Regular files are ids into
-   a content table so hard links alias naturally. *)
+   tested against.  Inside, paths are component lists.  Regular files are
+   ids into a content table so hard links alias naturally. *)
+
+module Op = Lfs_workload.Op
 
 module M = Map.Make (struct
   type t = string list
@@ -19,7 +21,8 @@ type t = {
 let create () =
   { nodes = M.add [] Dir M.empty; contents = Hashtbl.create 64; next_id = 0 }
 
-type outcome = Done | Data of bytes | Names of string list | Failed
+let ok = Ok Op.Done
+let failed = Error ()
 
 let parent path = List.filteri (fun i _ -> i < List.length path - 1) path
 
@@ -42,41 +45,41 @@ let nlink t id =
     t.nodes 0
 
 let mk_node t path node =
-  if path = [] || exists t path || not (parent_is_dir t path) then Failed
+  if path = [] || exists t path || not (parent_is_dir t path) then failed
   else begin
     t.nodes <- M.add path node t.nodes;
-    Done
+    ok
   end
 
 let create_file t path =
   let id = t.next_id in
-  match mk_node t path (File id) with
-  | Done ->
-      t.next_id <- id + 1;
-      Hashtbl.replace t.contents id Bytes.empty;
-      Done
-  | other -> other
-
-let mkdir t path = mk_node t path Dir
+  let r = mk_node t path (File id) in
+  if Result.is_ok r then begin
+    t.next_id <- id + 1;
+    Hashtbl.replace t.contents id Bytes.empty
+  end;
+  r
 
 let delete t path =
   match M.find_opt path t.nodes with
-  | None -> Failed
-  | Some Dir when path = [] || children t path <> [] -> Failed
+  | None -> failed
+  | Some Dir when path = [] || children t path <> [] -> failed
   | Some Dir ->
       t.nodes <- M.remove path t.nodes;
-      Done
+      ok
   | Some (File id) ->
       t.nodes <- M.remove path t.nodes;
       if nlink t id = 0 then Hashtbl.remove t.contents id;
-      Done
+      ok
 
 let file_id t path =
   match M.find_opt path t.nodes with Some (File id) -> Some id | _ -> None
 
+let contents t path = Option.map (Hashtbl.find t.contents) (file_id t path)
+
 let write t path ~off data =
   match file_id t path with
-  | None -> Failed
+  | None -> failed
   | Some id ->
       let old = Hashtbl.find t.contents id in
       let len = max (Bytes.length old) (off + Bytes.length data) in
@@ -84,25 +87,24 @@ let write t path ~off data =
       Bytes.blit old 0 b 0 (Bytes.length old);
       Bytes.blit data 0 b off (Bytes.length data);
       Hashtbl.replace t.contents id b;
-      Done
+      ok
 
 let read t path ~off ~len =
-  match file_id t path with
-  | None -> Failed
-  | Some id ->
-      let b = Hashtbl.find t.contents id in
-      if off >= Bytes.length b then Data Bytes.empty
-      else Data (Bytes.sub b off (min len (Bytes.length b - off)))
+  match contents t path with
+  | None -> failed
+  | Some b ->
+      if off >= Bytes.length b then Ok (Op.Data Bytes.empty)
+      else Ok (Op.Data (Bytes.sub b off (min len (Bytes.length b - off))))
 
 let truncate t path ~size =
   match file_id t path with
-  | None -> Failed
+  | None -> failed
   | Some id ->
       let b = Hashtbl.find t.contents id in
       let b' = Bytes.make size '\000' in
       Bytes.blit b 0 b' 0 (min size (Bytes.length b));
       Hashtbl.replace t.contents id b';
-      Done
+      ok
 
 let is_prefix a b =
   let rec go a b =
@@ -120,7 +122,7 @@ let rename t src dst =
     || exists t dst
     || (not (parent_is_dir t dst))
     || is_prefix src dst
-  then Failed
+  then failed
   else begin
     (* Move the node and, for directories, the whole subtree. *)
     let moved =
@@ -133,36 +135,66 @@ let rename t src dst =
     in
     t.nodes <- M.filter (fun p _ -> not (is_prefix src p)) t.nodes;
     List.iter (fun (p, node) -> t.nodes <- M.add p node t.nodes) moved;
-    Done
+    ok
   end
 
 let link t src dst =
   match file_id t src with
-  | None -> Failed (* absent, or a directory *)
+  | None -> failed (* absent, or a directory *)
   | Some id ->
-      if dst = [] || exists t dst || not (parent_is_dir t dst) then Failed
+      if dst = [] || exists t dst || not (parent_is_dir t dst) then failed
       else begin
         t.nodes <- M.add dst (File id) t.nodes;
-        Done
+        ok
       end
 
 let readdir t path =
   match M.find_opt path t.nodes with
-  | Some Dir -> Names (List.sort String.compare (children t path))
-  | Some (File _) | None -> Failed
+  | Some Dir -> Ok (Op.Names (List.sort String.compare (children t path)))
+  | Some (File _) | None -> failed
+
+let split path = Result.map_error ignore (Lfs_vfs.Path.split path)
+
+let apply t op =
+  let on path f = Result.bind (split path) f in
+  let data ~seed len = Lfs_workload.Driver.content ~seed len in
+  match op with
+  | Op.Mkdir p -> on p (fun p -> mk_node t p Dir)
+  | Op.Create p -> on p (create_file t)
+  | Op.Write { path; off; seed; len } ->
+      on path (fun p -> write t p ~off (data ~seed len))
+  | Op.Append { path; seed; len } ->
+      on path (fun p ->
+          match contents t p with
+          | None -> failed
+          | Some b -> write t p ~off:(Bytes.length b) (data ~seed len))
+  | Op.Read { path; range } ->
+      let off, len = Option.value range ~default:(0, max_int) in
+      on path (fun p -> read t p ~off ~len)
+  | Op.Truncate { path; size } -> on path (fun p -> truncate t p ~size)
+  | Op.Rename { src; dst } -> on src (fun src -> on dst (rename t src))
+  | Op.Link { src; dst } -> on src (fun src -> on dst (link t src))
+  | Op.Readdir p -> on p (readdir t)
+  | Op.Delete p -> on p (delete t)
+  | Op.Sync | Op.Flush -> ok
+
+let path_string p = "/" ^ String.concat "/" p
 
 let all_files t =
   M.fold
     (fun p node acc ->
       match node with
-      | File id -> (p, Hashtbl.find t.contents id) :: acc
+      | File id -> (path_string p, Hashtbl.find t.contents id) :: acc
       | Dir -> acc)
     t.nodes []
 
 let all_dirs t =
   M.fold
-    (fun p node acc -> match node with Dir -> p :: acc | File _ -> acc)
+    (fun p node acc -> match node with Dir -> path_string p :: acc | File _ -> acc)
     t.nodes []
+
+let file_id t path =
+  match split path with Ok p -> file_id t p | Error () -> None
 
 let nlink_of_path t path =
   match file_id t path with Some id -> nlink t id | None -> 0

@@ -1,28 +1,22 @@
 (* A pure reference file system: the specification both LFS and FFS are
-   tested against.  Paths are component lists (["a"; "b"] is /a/b; [] is
-   the root).  Regular files are ids into a content table, so hard links
-   alias naturally.  No I/O, no clock — every operation is a total
+   tested against.  Regular files are ids into a content table, so hard
+   links alias naturally.  No I/O, no clock — every op is a total
    function over the in-memory tree, which is what lets scenario runs
-   compare a real file system against it step by step. *)
+   and model tests compare a real file system against it step by
+   step. *)
 
 type t
 
-type outcome = Done | Data of bytes | Names of string list | Failed
-
 val create : unit -> t
-val exists : t -> string list -> bool
-val create_file : t -> string list -> outcome
-val mkdir : t -> string list -> outcome
-val delete : t -> string list -> outcome
-val write : t -> string list -> off:int -> bytes -> outcome
-val read : t -> string list -> off:int -> len:int -> outcome
-val truncate : t -> string list -> size:int -> outcome
-val rename : t -> string list -> string list -> outcome
-val link : t -> string list -> string list -> outcome
-val readdir : t -> string list -> outcome
 
-(* Oracle views for whole-tree checks. *)
-val file_id : t -> string list -> int option
-val all_files : t -> (string list * bytes) list
-val all_dirs : t -> string list list
-val nlink_of_path : t -> string list -> int
+val apply : t -> Lfs_workload.Op.t -> (Lfs_workload.Op.reply, unit) result
+(** Run one op.  On success the reply is what {!Lfs_workload.Op.run}
+    must return on a correct file system; [Error ()] means the file
+    system must fail the op too.  An [Append] extends the model's own
+    copy of the file. *)
+
+(* Oracle views for whole-tree checks; paths are absolute strings. *)
+val file_id : t -> string -> int option
+val all_files : t -> (string * bytes) list
+val all_dirs : t -> string list
+val nlink_of_path : t -> string -> int

@@ -9,6 +9,7 @@
 module Engine = Lfs_workload.Engine
 module Crashpoint = Lfs_workload.Crashpoint
 module Driver = Lfs_workload.Driver
+module Op = Lfs_workload.Op
 module Setup = Lfs_workload.Setup
 module Faulty = Lfs_disk.Faulty
 module Io = Lfs_disk.Io
@@ -291,43 +292,16 @@ let validate spec =
 
 (* ---------- stream compilation ---------- *)
 
-type step =
-  | S_create of string list
-  | S_mkdir of string list
-  | S_read of string list * int * int
-  | S_write of string list * int * int
-  | S_append of string list * int * int
-  | S_truncate of string list * int
-  | S_rename of string list * string list
-  | S_delete of string list
-  | S_sync
-
 let names = [| "a"; "b"; "c"; "d" |]
 let gen_name rng = names.(Rng.int rng (Array.length names))
 
 let gen_path rng =
-  match Rng.int rng 4 with
-  | 0 | 1 -> [ gen_name rng ]
-  | 2 -> [ gen_name rng; gen_name rng ]
-  | _ -> [ gen_name rng; gen_name rng; gen_name rng ]
-
-let path_string p = "/" ^ String.concat "/" p
-
-let pp_step = function
-  | S_create p -> "create " ^ path_string p
-  | S_mkdir p -> "mkdir " ^ path_string p
-  | S_read (p, off, len) ->
-      Printf.sprintf "read %s off=%d len=%d" (path_string p) off len
-  | S_write (p, seed, len) ->
-      Printf.sprintf "write %s seed=%d len=%d" (path_string p) seed len
-  | S_append (p, seed, len) ->
-      Printf.sprintf "append %s seed=%d len=%d" (path_string p) seed len
-  | S_truncate (p, size) ->
-      Printf.sprintf "truncate %s size=%d" (path_string p) size
-  | S_rename (a, b) ->
-      Printf.sprintf "rename %s %s" (path_string a) (path_string b)
-  | S_delete p -> "delete " ^ path_string p
-  | S_sync -> "sync"
+  "/"
+  ^ String.concat "/"
+      (match Rng.int rng 4 with
+      | 0 | 1 -> [ gen_name rng ]
+      | 2 -> [ gen_name rng; gen_name rng ]
+      | _ -> [ gen_name rng; gen_name rng; gen_name rng ])
 
 let steps_of spec =
   validate spec;
@@ -335,26 +309,29 @@ let steps_of spec =
   let total = total_weight spec.sc_mix in
   List.init spec.sc_count (fun i ->
       match pick rng spec.sc_mix total with
-      | KCreate -> S_create (gen_path rng)
-      | KMkdir -> S_mkdir (gen_path rng)
+      | KCreate -> Op.Create (gen_path rng)
+      | KMkdir -> Op.Mkdir (gen_path rng)
       | KRead ->
-          let p = gen_path rng in
+          let path = gen_path rng in
           let off = Rng.int rng (2 * spec.sc_payload) in
-          S_read (p, off, 1 + Rng.int rng (2 * spec.sc_payload))
+          Op.Read
+            { path; range = Some (off, 1 + Rng.int rng (2 * spec.sc_payload)) }
       | KOverwrite ->
-          let p = gen_path rng in
-          S_write (p, (spec.sc_seed * 97) + i, Rng.int rng ((2 * spec.sc_payload) + 1))
+          let path = gen_path rng in
+          let len = Rng.int rng ((2 * spec.sc_payload) + 1) in
+          Op.Write { path; off = 0; seed = (spec.sc_seed * 97) + i; len }
       | KAppend ->
-          let p = gen_path rng in
-          S_append (p, (spec.sc_seed * 89) + i, Rng.int rng (spec.sc_payload + 1))
+          let path = gen_path rng in
+          let len = Rng.int rng (spec.sc_payload + 1) in
+          Op.Append { path; seed = (spec.sc_seed * 89) + i; len }
       | KTruncate ->
-          let p = gen_path rng in
-          S_truncate (p, Rng.int rng (2 * spec.sc_payload))
+          let path = gen_path rng in
+          Op.Truncate { path; size = Rng.int rng (2 * spec.sc_payload) }
       | KRename ->
-          let a = gen_path rng in
-          S_rename (a, gen_path rng)
-      | KDelete -> S_delete (gen_path rng)
-      | KSync -> S_sync)
+          let src = gen_path rng in
+          Op.Rename { src; dst = gen_path rng }
+      | KDelete -> Op.Delete (gen_path rng)
+      | KSync -> Op.Sync)
 
 (* ---------- faults ---------- *)
 
@@ -579,154 +556,114 @@ let make_failure spec ~message ~steps ~original =
 
 (* ---------- stream mode ---------- *)
 
-let describe_outcome = function
-  | Model_fs.Done -> "ok"
-  | Model_fs.Failed -> "error"
-  | Model_fs.Data b -> Printf.sprintf "%d bytes" (Bytes.length b)
-  | Model_fs.Names l -> Printf.sprintf "[%s]" (String.concat ";" l)
+let describe_reply = function
+  | Ok Op.Done -> "ok"
+  | Error () -> "error"
+  | Ok (Op.Data b) -> Printf.sprintf "%d bytes" (Bytes.length b)
+  | Ok (Op.Names l) -> Printf.sprintf "[%s]" (String.concat ";" l)
 
 (* Execute [steps] on a fresh instance in lockstep with the model.
    Returns the first failure message, if any, plus run stats. *)
 let exec_stream spec steps =
   let exception Stop of string in
-  match small_instance spec with
-  | Fs_intf.Instance ((module F), fs) as inst -> (
-      let model = Model_fs.create () in
-      let stop fmt = Printf.ksprintf (fun m -> raise (Stop m)) fmt in
-      let of_result = function
-        | Ok () -> Model_fs.Done
-        | Error _ -> Model_fs.Failed
-      in
-      let of_read = function
-        | Ok b -> Model_fs.Data b
-        | Error _ -> Model_fs.Failed
-      in
-      let size_of p =
-        match Model_fs.read model p ~off:0 ~len:max_int with
-        | Model_fs.Data b -> Bytes.length b
-        | _ -> 0
-      in
-      let cmp i st expect got =
-        if expect <> got then
-          stop "step %d (%s): model says %s, %s says %s" i (pp_step st)
-            (describe_outcome expect) F.name (describe_outcome got)
-      in
-      let do_step i st =
-        match st with
-        | S_create p ->
-            cmp i st (Model_fs.create_file model p)
-              (of_result (F.create fs (path_string p)))
-        | S_mkdir p ->
-            cmp i st (Model_fs.mkdir model p)
-              (of_result (F.mkdir fs (path_string p)))
-        | S_delete p ->
-            cmp i st (Model_fs.delete model p)
-              (of_result (F.delete fs (path_string p)))
-        | S_write (p, cseed, len) ->
-            let data = Driver.content ~seed:cseed len in
-            cmp i st
-              (Model_fs.write model p ~off:0 data)
-              (of_result (F.write fs (path_string p) ~off:0 data))
-        | S_append (p, cseed, len) ->
-            let off = size_of p in
-            let data = Driver.content ~seed:cseed len in
-            cmp i st
-              (Model_fs.write model p ~off data)
-              (of_result (F.write fs (path_string p) ~off data))
-        | S_read (p, off, len) ->
-            cmp i st
-              (Model_fs.read model p ~off ~len)
-              (of_read (F.read fs (path_string p) ~off ~len))
-        | S_truncate (p, size) ->
-            cmp i st
-              (Model_fs.truncate model p ~size)
-              (of_result (F.truncate fs (path_string p) ~size))
-        | S_rename (a, b) ->
-            cmp i st (Model_fs.rename model a b)
-              (of_result (F.rename fs (path_string a) (path_string b)))
-        | S_sync -> F.sync fs
-      in
-      let final_check tag =
-        List.iter
-          (fun (p, data) ->
-            match
-              F.read fs (path_string p) ~off:0 ~len:(Bytes.length data + 1)
-            with
-            | Ok b when Bytes.equal b data -> ()
-            | Ok b ->
-                stop "%s: %s content mismatch: model %d bytes, %s read %d" tag
-                  (path_string p) (Bytes.length data) F.name (Bytes.length b)
-            | Error _ -> stop "%s: %s unreadable on %s" tag (path_string p) F.name)
-          (List.sort compare (Model_fs.all_files model));
-        List.iter
-          (fun p ->
-            if p <> [] && not (F.exists fs (path_string p)) then
-              stop "%s: directory %s missing on %s" tag (path_string p) F.name)
-          (Model_fs.all_dirs model)
-      in
-      let run_all () =
-        List.iteri do_step steps;
-        final_check "final tree";
-        F.flush_caches fs;
-        final_check "after flush_caches";
-        (match run_invariants spec inst with
-        | Some m -> raise (Stop m)
-        | None -> ());
-        Driver.sanitize inst
-      in
-      let transient = List.filter is_transient spec.sc_faults in
-      let faults = ref 0 in
-      let msg =
-        try
-          (if transient = [] then run_all ()
-           else
-             let (), inj =
-               with_faults ?member:spec.sc_fault_member ~seed:spec.sc_seed
-                 (Driver.io inst) transient run_all
-             in
-             faults := inj.inj_faults);
-          None
+  let inst = small_instance spec in
+  let label = Driver.label inst in
+  let model = Model_fs.create () in
+  let stop fmt = Printf.ksprintf (fun m -> raise (Stop m)) fmt in
+  let do_step i op =
+    (* Both sides append at the model's file size, so the file system
+       sees a plain write and no extra stat. *)
+    let resolved =
+      match op with
+      | Op.Append { path; seed; len } ->
+          let off =
+            match Model_fs.apply model (Op.Read { path; range = None }) with
+            | Ok (Op.Data b) -> Bytes.length b
+            | _ -> 0
+          in
+          Op.Write { path; off; seed; len }
+      | op -> op
+    in
+    let expect = Model_fs.apply model resolved in
+    let got = Result.map_error ignore (Op.run inst resolved) in
+    if expect <> got then
+      stop "step %d (%s): model says %s, %s says %s" i (Op.to_string op)
+        (describe_reply expect) label (describe_reply got)
+  in
+  let final_check tag =
+    List.iter
+      (fun (path, data) ->
+        match
+          Op.run inst (Op.Read { path; range = Some (0, Bytes.length data + 1) })
         with
-        | Stop m -> Some m
-        | Driver.Benchmark_failure m -> Some m
-        | Io.Read_failed { sector; attempts } ->
-            Some
-              (Printf.sprintf "read of sector %d failed after %d attempts"
-                 sector attempts)
-        | Faulty.Crash -> Some "unexpected crash fault"
+        | Ok (Op.Data b) when Bytes.equal b data -> ()
+        | Ok (Op.Data b) ->
+            stop "%s: %s content mismatch: model %d bytes, %s read %d" tag path
+              (Bytes.length data) label (Bytes.length b)
+        | _ -> stop "%s: %s unreadable on %s" tag path label)
+      (List.sort compare (Model_fs.all_files model));
+    List.iter
+      (fun path ->
+        if path <> "/" && not (Driver.exists inst path) then
+          stop "%s: directory %s missing on %s" tag path label)
+      (Model_fs.all_dirs model)
+  in
+  let run_all () =
+    List.iteri do_step steps;
+    final_check "final tree";
+    Driver.flush_caches inst;
+    final_check "after flush_caches";
+    (match run_invariants spec inst with
+    | Some m -> raise (Stop m)
+    | None -> ());
+    Driver.sanitize inst
+  in
+  let transient = List.filter is_transient spec.sc_faults in
+  let faults = ref 0 in
+  let msg =
+    try
+      (if transient = [] then run_all ()
+       else
+         let (), inj =
+           with_faults ?member:spec.sc_fault_member ~seed:spec.sc_seed
+             (Driver.io inst) transient run_all
+         in
+         faults := inj.inj_faults);
+      None
+    with
+    | Stop m -> Some m
+    | Driver.Benchmark_failure m -> Some m
+    | Io.Read_failed { sector; attempts } ->
+        Some
+          (Printf.sprintf "read of sector %d failed after %d attempts" sector
+             attempts)
+    | Faulty.Crash -> Some "unexpected crash fault"
+  in
+  (msg, stats_of_instance ~ops_run:(List.length steps) ~faults:!faults inst)
+
+(* A failing run's report: shrink [items] against [oracle] (the run
+   itself, returning its first violation) and re-derive the message on
+   the minimal counterexample. *)
+let counterexample spec ~print ~oracle items = function
+  | None -> None
+  | Some _ ->
+      let shrunk = shrink ~fails:oracle items in
+      let message =
+        match oracle shrunk with
+        | Some m -> m
+        | None -> "shrunk counterexample no longer reproduces"
       in
-      (msg, stats_of_instance ~ops_run:(List.length steps) ~faults:!faults inst))
+      Some
+        (make_failure spec ~message ~steps:(List.map print shrunk)
+           ~original:(List.length items))
 
 let run_stream spec =
   let steps = steps_of spec in
   let msg, stats = exec_stream spec steps in
-  let failure =
-    match msg with
-    | None -> None
-    | Some _ ->
-        let oracle st = fst (exec_stream spec st) in
-        let shrunk = shrink ~fails:oracle steps in
-        let message =
-          match oracle shrunk with
-          | Some m -> m
-          | None -> "shrunk counterexample no longer reproduces"
-        in
-        Some
-          (make_failure spec ~message
-             ~steps:(List.map pp_step shrunk)
-             ~original:(List.length steps))
-  in
-  (stats, failure)
+  let oracle st = fst (exec_stream spec st) in
+  (stats, counterexample spec ~print:Op.to_string ~oracle steps msg)
 
 (* ---------- crash-op compilation (sweep / read-back modes) ---------- *)
-
-let pp_crash_op = function
-  | Crashpoint.Mkdir p -> "mkdir " ^ p
-  | Crashpoint.Create p -> "create " ^ p
-  | Crashpoint.Write { path; seed; len } ->
-      Printf.sprintf "write %s seed=%d len=%d" path seed len
-  | Crashpoint.Delete p -> "delete " ^ p
-  | Crashpoint.Sync -> "sync"
 
 (* Compile the mix to a Crashpoint op list respecting its contract:
    every path written at most once, never reused after delete, syncs
@@ -775,15 +712,7 @@ let clean_replay spec ops =
   else
     let inst = small_instance spec in
     try
-      List.iter
-        (function
-          | Crashpoint.Mkdir p -> Driver.mkdir inst p
-          | Crashpoint.Create p -> Driver.create inst p
-          | Crashpoint.Write { path; seed; len } ->
-              Driver.write inst path ~off:0 (Driver.content ~seed len)
-          | Crashpoint.Delete p -> Driver.delete inst p
-          | Crashpoint.Sync -> Driver.sync inst)
-        ops;
+      List.iter (fun op -> ignore (Op.apply inst (Crashpoint.to_op op))) ops;
       match run_invariants spec inst with
       | Some m -> Some m
       | None ->
@@ -791,42 +720,26 @@ let clean_replay spec ops =
           None
     with Driver.Benchmark_failure m -> Some m
 
+(* First violation of a sweep or read-back run over [ops], else of the
+   user invariants on a clean replay. *)
+let verdict spec ops = function
+  | v :: _ -> Some v
+  | [] -> clean_replay spec ops
+
+let print_crash_op op = Op.to_string (Crashpoint.to_op op)
+
 let run_sweep spec =
   let torn = List.mem Torn spec.sc_faults in
   let ops = crash_ops spec in
-  let oracle ops' =
-    let o =
-      Crashpoint.sweep ?volume:spec.sc_volume ~torn
-        ~max_boundaries:spec.sc_boundaries ~seed:spec.sc_seed spec.sc_system
-        ops'
-    in
-    match o.Crashpoint.violations with
-    | v :: _ -> Some v
-    | [] -> clean_replay spec ops'
-  in
-  let outcome =
+  let sweep ops =
     Crashpoint.sweep ?volume:spec.sc_volume ~torn
       ~max_boundaries:spec.sc_boundaries ~seed:spec.sc_seed spec.sc_system ops
   in
-  let msg =
-    match outcome.Crashpoint.violations with
-    | v :: _ -> Some v
-    | [] -> clean_replay spec ops
-  in
+  let oracle ops = verdict spec ops (sweep ops).Crashpoint.violations in
+  let outcome = sweep ops in
   let failure =
-    match msg with
-    | None -> None
-    | Some _ ->
-        let shrunk = shrink ~fails:oracle ops in
-        let message =
-          match oracle shrunk with
-          | Some m -> m
-          | None -> "shrunk counterexample no longer reproduces"
-        in
-        Some
-          (make_failure spec ~message
-             ~steps:(List.map pp_crash_op shrunk)
-             ~original:(List.length ops))
+    counterexample spec ~print:print_crash_op ~oracle ops
+      (verdict spec ops outcome.Crashpoint.violations)
   in
   let stats =
     {
@@ -844,38 +757,15 @@ let run_read_fault spec =
     | _ -> Driver.fail "scenario: read_back needs a Transient fault"
   in
   let ops = crash_ops spec in
-  let oracle ops' =
-    let o =
-      Crashpoint.read_fault_run ?volume:spec.sc_volume ~rate ~burst
-        ~seed:spec.sc_seed spec.sc_system ops'
-    in
-    match o.Crashpoint.rf_violations with
-    | v :: _ -> Some v
-    | [] -> clean_replay spec ops'
-  in
-  let o =
+  let read_fault ops =
     Crashpoint.read_fault_run ?volume:spec.sc_volume ~rate ~burst
       ~seed:spec.sc_seed spec.sc_system ops
   in
-  let msg =
-    match o.Crashpoint.rf_violations with
-    | v :: _ -> Some v
-    | [] -> clean_replay spec ops
-  in
+  let oracle ops = verdict spec ops (read_fault ops).Crashpoint.rf_violations in
+  let o = read_fault ops in
   let failure =
-    match msg with
-    | None -> None
-    | Some _ ->
-        let shrunk = shrink ~fails:oracle ops in
-        let message =
-          match oracle shrunk with
-          | Some m -> m
-          | None -> "shrunk counterexample no longer reproduces"
-        in
-        Some
-          (make_failure spec ~message
-             ~steps:(List.map pp_crash_op shrunk)
-             ~original:(List.length ops))
+    counterexample spec ~print:print_crash_op ~oracle ops
+      (verdict spec ops o.Crashpoint.rf_violations)
   in
   let stats =
     {
@@ -891,13 +781,8 @@ let run_read_fault spec =
 
 let run_bad_sector spec =
   let o = Crashpoint.bad_sector_run ~seed:spec.sc_seed () in
-  let msg =
-    match o.Crashpoint.bs_violations with
-    | v :: _ -> Some v
-    | [] -> clean_replay spec (Crashpoint.smallfile ())
-  in
   let failure =
-    match msg with
+    match verdict spec (Crashpoint.smallfile ()) o.Crashpoint.bs_violations with
     | None -> None
     | Some message -> Some (make_failure spec ~message ~steps:[] ~original:0)
   in

@@ -140,24 +140,10 @@ val mix_of_string : string -> weighted list
 
 (** {1 Compiled form} *)
 
-(** One concrete stream-mode operation (content seeds baked in at
-    generation time, so a shrunk subsequence replays identically). *)
-type step =
-  | S_create of string list
-  | S_mkdir of string list
-  | S_read of string list * int * int  (** path, off, len *)
-  | S_write of string list * int * int  (** path, content seed, len *)
-  | S_append of string list * int * int  (** path, content seed, len *)
-  | S_truncate of string list * int
-  | S_rename of string list * string list
-  | S_delete of string list
-  | S_sync
-
-val pp_step : step -> string
-
-val steps_of : t -> step list
+val steps_of : t -> Lfs_workload.Op.t list
 (** The deterministic stream compilation of a spec: same spec ⇒ same
-    steps. *)
+    steps.  Content seeds are baked in at generation time, so a shrunk
+    subsequence replays identically. *)
 
 (** {1 Running} *)
 
@@ -172,7 +158,9 @@ type stats = {
 
 type failure = {
   message : string;  (** first violation, re-derived on the shrunk run *)
-  steps : string list;  (** rendered minimal counterexample *)
+  steps : string list;
+      (** the minimal counterexample, one {!Lfs_workload.Op.to_string}
+          token per op ({!Lfs_workload.Op.of_string} parses it back) *)
   original_steps : int;
   shrunk_steps : int;
   replay : string;  (** one-line reproduction command *)

@@ -18,6 +18,13 @@ type op =
   | Delete of string
   | Sync
 
+let to_op = function
+  | Mkdir p -> Op.Mkdir p
+  | Create p -> Op.Create p
+  | Write { path; seed; len } -> Op.Write { path; off = 0; seed; len }
+  | Delete p -> Op.Delete p
+  | Sync -> Op.Sync
+
 type system = [ `Lfs | `Ffs ]
 
 let system_name = function `Lfs -> "LFS" | `Ffs -> "FFS"
@@ -91,15 +98,6 @@ let remount io = function
           Ok (F fs, [])
       | Error e -> Error e)
 
-let apply inst op =
-  match op with
-  | Mkdir p -> Driver.mkdir inst p
-  | Create p -> Driver.create inst p
-  | Write { path; seed; len } ->
-      Driver.write inst path ~off:0 (Driver.content ~seed len)
-  | Delete p -> Driver.delete inst p
-  | Sync -> Driver.sync inst
-
 let counter io name =
   Option.value ~default:0
     (Metrics.counter_value (Metrics.snapshot (Io.metrics io)) name)
@@ -113,7 +111,7 @@ let probe ?volume sys ops =
   let cum = Array.make (List.length ops) 0 in
   List.iteri
     (fun i op ->
-      apply (instance_of st) op;
+      ignore (Op.apply (instance_of st) (to_op op));
       cum.(i) <- Faulty.writes_seen f)
     ops;
   Faulty.detach f;
@@ -309,7 +307,7 @@ let replay ?volume sys ops ~k ~torn ~seed =
   let inst0 = instance_of st0 in
   let crashed =
     try
-      List.iter (apply inst0) ops;
+      List.iter (fun op -> ignore (Op.apply inst0 (to_op op))) ops;
       false
     with Faulty.Crash -> true
   in
@@ -411,7 +409,7 @@ let read_fault_run ?volume ?(rate = 0.08) ?(burst = 1) ?(seed = 11) sys ops =
   let inst = instance_of st in
   let v = ref [] in
   (try
-     List.iter (apply inst) ops;
+     List.iter (fun op -> ignore (Op.apply inst (to_op op))) ops;
      Driver.flush_caches inst;
      let files, _ = walk inst in
      List.iter
@@ -441,7 +439,7 @@ let bad_sector_run ?(seed = 13) () =
   let ops = smallfile () in
   let io, st = start `Lfs in
   let inst = instance_of st in
-  List.iter (apply inst) ops;
+  List.iter (fun op -> ignore (Op.apply inst (to_op op))) ops;
   let fs = match st with L fs -> fs | F _ -> assert false in
   let layout = Lfs_core.Fs.layout fs in
   let bad =

@@ -26,6 +26,9 @@ type op =
   | Delete of string
   | Sync
 
+val to_op : op -> Op.t
+(** The op this crash-sweep op runs as. *)
+
 type system = [ `Lfs | `Ffs ]
 
 val system_name : system -> string

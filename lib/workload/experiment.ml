@@ -397,7 +397,7 @@ let scaling nfiles =
   }
 
 let cache events =
-  let events =
+  let trace =
     Trace.generate
       ~config:{ Trace.default_gen with Trace.events; target_live = 800 }
       ()
@@ -418,7 +418,7 @@ let cache events =
           }
         in
         let measure inst =
-          let r = Trace.replay inst events in
+          let r = Trace.replay inst trace in
           ( r.Trace.ops_per_sec,
             counter (Driver.io inst) "disk.sectors_read" * 512 )
         in
@@ -458,7 +458,7 @@ let cache events =
 type replay = { events : int; target_live : int }
 
 let trace p =
-  let events =
+  let ops =
     Trace.generate
       ~config:
         {
@@ -469,16 +469,16 @@ let trace p =
       ()
   in
   let results =
-    List.map (fun inst -> Trace.replay inst events) (Setup.both ~disk_mb:128 ())
+    List.map (fun inst -> Trace.replay inst ops) (Setup.both ~disk_mb:128 ())
   in
   let t =
     table
-      ~headers:[ "system"; "events"; "ops/s"; "written"; "read" ]
+      ~headers:[ "system"; "ops"; "ops/s"; "written"; "read" ]
       (List.map
          (fun (r : Trace.result) ->
            [
              r.label;
-             string_of_int r.events;
+             string_of_int r.ops;
              Table.fmt_float ~decimals:0 r.ops_per_sec;
              Table.fmt_bytes r.bytes_written;
              Table.fmt_bytes r.bytes_read;
@@ -753,7 +753,7 @@ module Profile = struct
      cache/CPU, disk, cleaner and checkpoint work — the four columns sum
      to the op's total by construction. *)
   let run p =
-    let events = lazy (Trace.generate ()) in
+    let trace = lazy (Trace.generate ()) in
     with_text @@ fun b ->
     let entries =
       List.concat_map
@@ -763,7 +763,7 @@ module Profile = struct
           | Smallfile { files; file_size } ->
               ignore (Smallfile.run ~nfiles:files ~file_size inst)
           | Largefile { file_mb } -> ignore (Largefile.run ~file_mb inst)
-          | Trace -> ignore (Trace.replay inst (Lazy.force events)));
+          | Trace -> ignore (Trace.replay inst (Lazy.force trace)));
           Prof.detach prof;
           let rep = Prof.report prof in
           let label = Driver.label inst in

@@ -8,46 +8,8 @@
     system, so a single "realistic mix" number can be compared across
     systems (the figures isolate one behaviour each; a trace mixes them).
 
-    Traces serialize to plain text, one event per line, so they can be
-    stored, inspected and replayed later. *)
-
-type event =
-  | Create of { path : string; size : int }  (** create + whole-file write *)
-  | Read of { path : string }  (** whole-file sequential read *)
-  | Overwrite of { path : string; size : int }  (** rewrite in full *)
-  | Delete of { path : string }
-  | Mkdir of { path : string }
-
-let pp_event ppf = function
-  | Create { path; size } -> Format.fprintf ppf "create %s %d" path size
-  | Read { path } -> Format.fprintf ppf "read %s" path
-  | Overwrite { path; size } -> Format.fprintf ppf "overwrite %s %d" path size
-  | Delete { path } -> Format.fprintf ppf "delete %s" path
-  | Mkdir { path } -> Format.fprintf ppf "mkdir %s" path
-
-(* Serialization *)
-
-let to_line = function
-  | Create { path; size } -> Printf.sprintf "C %s %d" path size
-  | Read { path } -> Printf.sprintf "R %s" path
-  | Overwrite { path; size } -> Printf.sprintf "W %s %d" path size
-  | Delete { path } -> Printf.sprintf "D %s" path
-  | Mkdir { path } -> Printf.sprintf "M %s" path
-
-let of_line line =
-  match String.split_on_char ' ' (String.trim line) with
-  | [ "C"; path; size ] -> Some (Create { path; size = int_of_string size })
-  | [ "R"; path ] -> Some (Read { path })
-  | [ "W"; path; size ] -> Some (Overwrite { path; size = int_of_string size })
-  | [ "D"; path ] -> Some (Delete { path })
-  | [ "M"; path ] -> Some (Mkdir { path })
-  | [ "" ] -> None
-  | _ -> invalid_arg (Printf.sprintf "Trace.of_line: %S" line)
-
-let to_lines events = String.concat "\n" (List.map to_line events) ^ "\n"
-
-let of_lines text =
-  List.filter_map of_line (String.split_on_char '\n' text)
+    A trace is an {!Op.t} list, so it prints and parses in the op text
+    form, one op per line. *)
 
 (* Generation *)
 
@@ -87,10 +49,16 @@ let generate ?(seed = 42) ?(config = default_gen) () =
      recently created (young files are the hot ones, as in the study). *)
   let live = ref [||] in
   let next_id = ref 0 in
-  let events = ref [] in
-  let emit e = events := e :: !events in
+  (* One event is one or two ops.  A write's content seed is its
+     event's index. *)
+  let ops = ref [] in
+  let event = ref 0 in
+  let emit event_ops =
+    ops := List.rev_append event_ops !ops;
+    incr event
+  in
   for d = 0 to config.dirs - 1 do
-    emit (Mkdir { path = Printf.sprintf "/dir%03d" d })
+    emit [ Op.Mkdir (Printf.sprintf "/dir%03d" d) ]
   done;
   let fresh_path () =
     let id = !next_id in
@@ -108,7 +76,8 @@ let generate ?(seed = 42) ?(config = default_gen) () =
   in
   let create () =
     let path = fresh_path () in
-    emit (Create { path; size = sample_size rng });
+    let len = sample_size rng in
+    emit [ Op.Create path; Op.Write { path; off = 0; seed = !event; len } ];
     live := Array.append [| path |] !live
   in
   let delete_oldest_biased () =
@@ -116,7 +85,7 @@ let generate ?(seed = 42) ?(config = default_gen) () =
     if n > 0 then begin
       (* Deletions hit old files: sample from the cold end. *)
       let idx = n - 1 - min (n - 1) (Lfs_util.Rng.int rng (max 1 (n / 2))) in
-      emit (Delete { path = !live.(idx) });
+      emit [ Op.Delete !live.(idx) ];
       live := Array.append (Array.sub !live 0 idx)
                 (Array.sub !live (idx + 1) (n - idx - 1))
     end
@@ -125,12 +94,14 @@ let generate ?(seed = 42) ?(config = default_gen) () =
     let r = Lfs_util.Rng.float rng 1.0 in
     if r < config.read_fraction then begin
       match pick_live () with
-      | Some i -> emit (Read { path = !live.(i) })
+      | Some i -> emit [ Op.Read { path = !live.(i); range = None } ]
       | None -> create ()
     end
     else if r < config.read_fraction +. config.overwrite_fraction then begin
       match pick_live () with
-      | Some i -> emit (Overwrite { path = !live.(i); size = sample_size rng })
+      | Some i ->
+          let len = sample_size rng in
+          emit [ Op.Write { path = !live.(i); off = 0; seed = !event; len } ]
       | None -> create ()
     end
     else if Array.length !live >= config.target_live then begin
@@ -139,56 +110,43 @@ let generate ?(seed = 42) ?(config = default_gen) () =
     end
     else create ()
   done;
-  List.rev !events
+  List.rev !ops
 
 (* Replay *)
 
 type result = {
   label : string;
-  events : int;
+  ops : int;
   elapsed_us : int;
   ops_per_sec : float;
   bytes_written : int;
   bytes_read : int;
 }
 
-let replay inst events =
-  let io = Driver.io inst in
-  let bytes_written = ref 0 in
-  let bytes_read = ref 0 in
-  let t0 = Lfs_disk.Io.now_us io in
-  List.iteri
-    (fun i event ->
-      match event with
-      | Mkdir { path } -> Driver.mkdir inst path
-      | Create { path; size } ->
-          Driver.create inst path;
-          Driver.write inst path ~off:0 (Driver.content ~seed:i size);
-          bytes_written := !bytes_written + size
-      | Overwrite { path; size } ->
-          Driver.write inst path ~off:0 (Driver.content ~seed:i size);
-          bytes_written := !bytes_written + size
-      | Read { path } ->
-          let stat = Driver.stat inst path in
-          let data =
-            Driver.read inst path ~off:0 ~len:stat.Lfs_vfs.Fs_intf.size
-          in
-          bytes_read := !bytes_read + Bytes.length data
-      | Delete { path } -> Driver.delete inst path)
-    events;
+let replay inst ops =
+  let t0 = Driver.now_us inst in
+  let bytes_written, bytes_read =
+    List.fold_left
+      (fun (w, r) op ->
+        match (op, Op.apply inst op) with
+        | _, Op.Data b -> (w, r + Bytes.length b)
+        | (Op.Write { len; _ } | Op.Append { len; _ }), _ -> (w + len, r)
+        | _ -> (w, r))
+      (0, 0) ops
+  in
   Driver.sync inst;
-  let elapsed_us = Lfs_disk.Io.now_us io - t0 in
-  let n = List.length events in
+  let elapsed_us = Driver.now_us inst - t0 in
+  let n = List.length ops in
   let result =
     {
       label = Driver.label inst;
-      events = n;
+      ops = n;
       elapsed_us;
       ops_per_sec =
         (if elapsed_us <= 0 then infinity
          else float_of_int n /. (float_of_int elapsed_us /. 1e6));
-      bytes_written = !bytes_written;
-      bytes_read = !bytes_read;
+      bytes_written;
+      bytes_read;
     }
   in
   Driver.sanitize inst;

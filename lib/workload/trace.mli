@@ -3,32 +3,14 @@
     The paper characterizes its target workload via the Berkeley
     trace-driven analysis (reference [5]): many small files (mostly under
     8 KB), read sequentially and in their entirety, lifetimes often under
-    a day, highly skewed access.  {!generate} produces an event stream
-    with those properties; {!replay} runs it against any file system.
-    Traces serialize to plain text, one event per line. *)
-
-type event =
-  | Create of { path : string; size : int }  (** create + whole-file write *)
-  | Read of { path : string }  (** whole-file sequential read *)
-  | Overwrite of { path : string; size : int }  (** rewrite in full *)
-  | Delete of { path : string }
-  | Mkdir of { path : string }
-
-val pp_event : Format.formatter -> event -> unit
-
-(** {1 Serialization} *)
-
-val to_line : event -> string
-val of_line : string -> event option
-(** [None] on a blank line.  @raise Invalid_argument on garbage. *)
-
-val to_lines : event list -> string
-val of_lines : string -> event list
+    a day, highly skewed access.  {!generate} produces an op stream with
+    those properties; {!replay} runs it against any file system.  A
+    trace prints and parses in the {!Op} text form, one op per line. *)
 
 (** {1 Generation} *)
 
 type gen_config = {
-  events : int;
+  events : int;  (** workload events; a file creation is two ops *)
   dirs : int;  (** directory fan-out *)
   target_live : int;  (** steady-state live-file population *)
   read_fraction : float;
@@ -38,19 +20,24 @@ type gen_config = {
 
 val default_gen : gen_config
 
-val generate : ?seed:int -> ?config:gen_config -> unit -> event list
-(** A well-formed trace: every event succeeds when replayed in order on
-    an empty file system. *)
+val generate : ?seed:int -> ?config:gen_config -> unit -> Op.t list
+(** A well-formed trace: every op succeeds when replayed in order on an
+    empty file system.  A created file is a [Create] followed by a
+    [Write]; every [Write] starts at offset 0 and its content seed is
+    the index of the event that issued it. *)
 
 (** {1 Replay} *)
 
 type result = {
   label : string;
-  events : int;
+  ops : int;
   elapsed_us : int;
   ops_per_sec : float;
   bytes_written : int;
   bytes_read : int;
 }
 
-val replay : Lfs_vfs.Fs_intf.instance -> event list -> result
+val replay : Lfs_vfs.Fs_intf.instance -> Op.t list -> result
+(** {!Op.apply} each op in order, then sync.  [ops_per_sec] is over
+    simulated time; the bytes count [Write]/[Append] lengths and
+    [Read] results. *)

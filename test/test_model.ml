@@ -8,6 +8,7 @@
 module E = Lfs_vfs.Errors
 module Fs_intf = Lfs_vfs.Fs_intf
 module Model_fs = Lfs_scenario.Model_fs
+module Op = Lfs_workload.Op
 
 let qcheck = QCheck_alcotest.to_alcotest
 
@@ -21,184 +22,120 @@ let count default =
 (* Operations over a tiny namespace so that collisions, nesting and
    errors all get exercised. *)
 
-type op =
-  | Create of string list
-  | Mkdir of string list
-  | Delete of string list
-  | Write of string list * int * int  (* path, offset, length *)
-  | Read of string list * int * int
-  | Truncate of string list * int
-  | Rename of string list * string list
-  | Link of string list * string list
-  | Readdir of string list
-  | Sync
-  | Flush_caches
-
-let path_to_string components = "/" ^ String.concat "/" components
-
 let op_gen =
   let open QCheck.Gen in
   let name = oneofl [ "a"; "b"; "c"; "d"; "e" ] in
-  let path = list_size (int_range 1 3) name in
+  let path =
+    map (fun l -> "/" ^ String.concat "/" l) (list_size (int_range 1 3) name)
+  in
   frequency
     [
-      (4, map (fun p -> Create p) path);
-      (2, map (fun p -> Mkdir p) path);
-      (3, map (fun p -> Delete p) path);
-      (6, map3 (fun p off len -> Write (p, off, len)) path (int_bound 6000) (int_bound 4000));
-      (4, map3 (fun p off len -> Read (p, off, len)) path (int_bound 8000) (int_bound 4000));
-      (2, map2 (fun p s -> Truncate (p, s)) path (int_bound 6000));
-      (2, map2 (fun a b -> Rename (a, b)) path path);
-      (2, map2 (fun a b -> Link (a, b)) path path);
-      (2, map (fun p -> Readdir p) path);
-      (1, pure Sync);
-      (1, pure Flush_caches);
+      (4, map (fun p -> Op.Create p) path);
+      (2, map (fun p -> Op.Mkdir p) path);
+      (3, map (fun p -> Op.Delete p) path);
+      ( 6,
+        map4
+          (fun path off seed len -> Op.Write { path; off; seed; len })
+          path (int_bound 6000) nat (int_bound 4000) );
+      ( 2,
+        map3
+          (fun path seed len -> Op.Append { path; seed; len })
+          path nat (int_bound 4000) );
+      ( 4,
+        map3
+          (fun path off len -> Op.Read { path; range = Some (off, len) })
+          path (int_bound 8000) (int_bound 4000) );
+      (1, map (fun path -> Op.Read { path; range = None }) path);
+      (2, map2 (fun path size -> Op.Truncate { path; size }) path (int_bound 6000));
+      (2, map2 (fun src dst -> Op.Rename { src; dst }) path path);
+      (2, map2 (fun src dst -> Op.Link { src; dst }) path path);
+      (2, map (fun p -> Op.Readdir p) path);
+      (1, pure Op.Sync);
+      (1, pure Op.Flush);
     ]
 
-let pp_op op =
-  match op with
-  | Create p -> "create " ^ path_to_string p
-  | Mkdir p -> "mkdir " ^ path_to_string p
-  | Delete p -> "delete " ^ path_to_string p
-  | Write (p, off, len) -> Printf.sprintf "write %s %d+%d" (path_to_string p) off len
-  | Read (p, off, len) -> Printf.sprintf "read %s %d+%d" (path_to_string p) off len
-  | Truncate (p, s) -> Printf.sprintf "truncate %s %d" (path_to_string p) s
-  | Rename (a, b) -> Printf.sprintf "rename %s %s" (path_to_string a) (path_to_string b)
-  | Link (a, b) -> Printf.sprintf "link %s %s" (path_to_string a) (path_to_string b)
-  | Readdir p -> "readdir " ^ path_to_string p
-  | Sync -> "sync"
-  | Flush_caches -> "flush"
+let print_ops ops = String.concat "; " (List.map Op.to_string ops)
 
-(* Deterministic payload so content mismatches are meaningful. *)
-let payload seed len =
-  let rng = Lfs_util.Rng.create seed in
-  Bytes.init len (fun _ -> Char.chr (Lfs_util.Rng.int rng 256))
+let describe = function
+  | Ok Op.Done -> "succeeded"
+  | Error () -> "failed"
+  | Ok (Op.Data b) -> Printf.sprintf "read %d bytes" (Bytes.length b)
+  | Ok (Op.Names n) -> Printf.sprintf "listed %d" (List.length n)
 
 module Run (F : Fs_intf.S) = struct
-  let outcome_of_result = function
-    | Ok () -> Model_fs.Done
-    | Error _ -> Model_fs.Failed
+  (* Whole content of [path] on the model, if it is a file. *)
+  let model_content model path =
+    match Model_fs.apply model (Op.Read { path; range = None }) with
+    | Ok (Op.Data b) -> Some b
+    | _ -> None
 
   let apply fs model step op =
-    let expect = ref Model_fs.Failed in
-    let got = ref Model_fs.Failed in
-    (match op with
-    | Create p ->
-        expect := Model_fs.create_file model p;
-        got := outcome_of_result (F.create fs (path_to_string p))
-    | Mkdir p ->
-        expect := Model_fs.mkdir model p;
-        got := outcome_of_result (F.mkdir fs (path_to_string p))
-    | Delete p ->
-        expect := Model_fs.delete model p;
-        got := outcome_of_result (F.delete fs (path_to_string p))
-    | Write (p, off, len) ->
-        let data = payload step len in
-        expect := Model_fs.write model p ~off data;
-        got := outcome_of_result (F.write fs (path_to_string p) ~off data)
-    | Read (p, off, len) ->
-        expect := Model_fs.read model p ~off ~len;
-        got :=
-          (match F.read fs (path_to_string p) ~off ~len with
-          | Ok b -> Model_fs.Data b
-          | Error _ -> Model_fs.Failed)
-    | Truncate (p, s) ->
-        expect := Model_fs.truncate model p ~size:s;
-        got := outcome_of_result (F.truncate fs (path_to_string p) ~size:s)
-    | Rename (a, b) ->
-        expect := Model_fs.rename model a b;
-        got := outcome_of_result (F.rename fs (path_to_string a) (path_to_string b))
-    | Link (a, b) ->
-        expect := Model_fs.link model a b;
-        got := outcome_of_result (F.link fs (path_to_string a) (path_to_string b))
-    | Readdir p ->
-        expect := Model_fs.readdir model p;
-        got :=
-          (match F.readdir fs (path_to_string p) with
-          | Ok names -> Model_fs.Names names
-          | Error _ -> Model_fs.Failed)
-    | Sync ->
-        F.sync fs;
-        expect := Model_fs.Done;
-        got := Model_fs.Done
-    | Flush_caches ->
-        F.flush_caches fs;
-        expect := Model_fs.Done;
-        got := Model_fs.Done);
+    let expect = Model_fs.apply model op in
+    let got =
+      Result.map_error ignore (Op.run (Fs_intf.Instance ((module F), fs)) op)
+    in
     (* After a mutating op, immediately compare the touched file's full
        content — divergences then point at the guilty operation. *)
     (match op with
-    | Write (p, _, _) | Truncate (p, _) | Create p -> (
-        match Model_fs.read model p ~off:0 ~len:max_int with
-        | Model_fs.Data expected -> (
-            match F.read fs (path_to_string p) ~off:0 ~len:(Bytes.length expected + 16) with
+    | Op.Write { path = p; _ }
+    | Op.Append { path = p; _ }
+    | Op.Truncate { path = p; _ }
+    | Op.Create p -> (
+        match model_content model p with
+        | Some expected -> (
+            match F.read fs p ~off:0 ~len:(Bytes.length expected + 16) with
             | Ok b when Bytes.equal b expected -> ()
             | Ok b ->
                 QCheck.Test.fail_reportf
                   "step %d (%s): content diverged (%d vs %d bytes)" step
-                  (pp_op op) (Bytes.length b) (Bytes.length expected)
+                  (Op.to_string op) (Bytes.length b) (Bytes.length expected)
             | Error e ->
                 QCheck.Test.fail_reportf "step %d (%s): readback failed: %s"
-                  step (pp_op op) (E.to_string e))
-        | Model_fs.Failed | Model_fs.Done | Model_fs.Names _ -> ())
-    | Link (_, b) -> (
+                  step (Op.to_string op) (E.to_string e))
+        | None -> ())
+    | Op.Link { dst = b; _ } -> (
         (* Both names must now read identically, and nlink must match. *)
-        match Model_fs.read model b ~off:0 ~len:max_int with
-        | Model_fs.Data expected -> (
-            (match F.read fs (path_to_string b) ~off:0 ~len:(Bytes.length expected + 16) with
+        match model_content model b with
+        | Some expected -> (
+            (match F.read fs b ~off:0 ~len:(Bytes.length expected + 16) with
             | Ok got when Bytes.equal got expected -> ()
             | Ok _ ->
                 QCheck.Test.fail_reportf "step %d (%s): link content diverged"
-                  step (pp_op op)
+                  step (Op.to_string op)
             | Error e ->
                 QCheck.Test.fail_reportf "step %d (%s): link readback: %s" step
-                  (pp_op op) (E.to_string e));
-            match F.stat fs (path_to_string b) with
+                  (Op.to_string op) (E.to_string e));
+            match F.stat fs b with
             | Ok st ->
                 let expected_nlink = Model_fs.nlink_of_path model b in
                 if st.Fs_intf.nlink <> expected_nlink then
                   QCheck.Test.fail_reportf "step %d (%s): nlink %d, expected %d"
-                    step (pp_op op) st.Fs_intf.nlink expected_nlink
+                    step (Op.to_string op) st.Fs_intf.nlink expected_nlink
             | Error _ -> ())
-        | Model_fs.Failed | Model_fs.Done | Model_fs.Names _ -> ())
-    | Mkdir _ | Delete _ | Rename _ | Read _ | Readdir _ | Sync
-    | Flush_caches ->
-        ());
-    if !expect <> !got then
-      QCheck.Test.fail_reportf "step %d (%s): model %s, fs %s" step (pp_op op)
-        (match !expect with
-        | Model_fs.Done -> "succeeded"
-        | Model_fs.Failed -> "failed"
-        | Model_fs.Data b -> Printf.sprintf "read %d bytes" (Bytes.length b)
-        | Model_fs.Names n -> Printf.sprintf "listed %d" (List.length n))
-        (match !got with
-        | Model_fs.Done -> "succeeded"
-        | Model_fs.Failed -> "failed"
-        | Model_fs.Data b -> Printf.sprintf "read %d bytes" (Bytes.length b)
-        | Model_fs.Names n -> Printf.sprintf "listed %d" (List.length n))
+        | None -> ())
+    | _ -> ());
+    if expect <> got then
+      QCheck.Test.fail_reportf "step %d (%s): model %s, fs %s" step
+        (Op.to_string op) (describe expect) (describe got)
 
   let final_check fs model =
     List.iter
       (fun (p, content) ->
-        match F.read fs (path_to_string p) ~off:0 ~len:(Bytes.length content + 16) with
+        match F.read fs p ~off:0 ~len:(Bytes.length content + 16) with
         | Ok b ->
             if not (Bytes.equal b content) then
-              QCheck.Test.fail_reportf "final content mismatch at %s"
-                (path_to_string p)
+              QCheck.Test.fail_reportf "final content mismatch at %s" p
         | Error e ->
-            QCheck.Test.fail_reportf "final read %s: %s" (path_to_string p)
-              (E.to_string e))
+            QCheck.Test.fail_reportf "final read %s: %s" p (E.to_string e))
       (Model_fs.all_files model);
     List.iter
       (fun p ->
-        match (F.readdir fs (path_to_string p), Model_fs.readdir model p) with
-        | Ok names, Model_fs.Names expected ->
+        match (F.readdir fs p, Model_fs.apply model (Op.Readdir p)) with
+        | Ok names, Ok (Op.Names expected) ->
             if names <> expected then
-              QCheck.Test.fail_reportf "final readdir mismatch at %s"
-                (path_to_string p)
+              QCheck.Test.fail_reportf "final readdir mismatch at %s" p
         | Error e, _ ->
-            QCheck.Test.fail_reportf "final readdir %s: %s" (path_to_string p)
-              (E.to_string e)
+            QCheck.Test.fail_reportf "final readdir %s: %s" p (E.to_string e)
         | Ok _, _ -> QCheck.Test.fail_reportf "model lost a directory")
       (Model_fs.all_dirs model)
 
@@ -219,7 +156,7 @@ module Ffs_run = Run (Lfs_ffs.Fs)
 
 let prop_lfs_model =
   QCheck.Test.make ~name:"LFS matches reference model" ~count:(count 60)
-    (QCheck.make ~print:(fun ops -> String.concat "; " (List.map pp_op ops))
+    (QCheck.make ~print:print_ops
        QCheck.Gen.(list_size (int_range 20 120) op_gen))
     (fun ops ->
       let structurally_sound fs =
@@ -250,7 +187,7 @@ let prop_lfs_model =
 
 let prop_ffs_model =
   QCheck.Test.make ~name:"FFS matches reference model" ~count:(count 60)
-    (QCheck.make ~print:(fun ops -> String.concat "; " (List.map pp_op ops))
+    (QCheck.make ~print:print_ops
        QCheck.Gen.(list_size (int_range 20 120) op_gen))
     (fun ops -> Ffs_run.run (fun () -> Generic_suite.Ffs_env.make ()) ops)
 
@@ -266,7 +203,7 @@ let prop_lfs_crash_recovery =
     (QCheck.make
        ~print:(fun (ops, crash_after) ->
          Printf.sprintf "crash_after=%d; %s" crash_after
-           (String.concat "; " (List.map pp_op ops)))
+           (print_ops ops))
        QCheck.Gen.(
          pair (list_size (int_range 30 100) op_gen) (int_range 1 2000)))
     (fun (ops, crash_after) ->
@@ -291,13 +228,11 @@ let prop_lfs_crash_recovery =
         dirty_prefixes := p :: !dirty_prefixes;
         touch_id p
       in
-      let rec is_prefix a b =
-        match (a, b) with
-        | [], _ -> true
-        | x :: a', y :: b' -> x = y && is_prefix a' b'
-        | _ :: _, [] -> false
+      let touched p =
+        List.exists
+          (fun pre -> p = pre || String.starts_with ~prefix:(pre ^ "/") p)
+          !dirty_prefixes
       in
-      let touched p = List.exists (fun pre -> is_prefix pre p) !dirty_prefixes in
       let module R = Run (Lfs_core.Fs) in
       let step_count = ref 0 in
       let crashed = ref false in
@@ -307,13 +242,15 @@ let prop_lfs_crash_recovery =
              if not !crashed then begin
                incr step_count;
                (match op with
-               | Create p | Mkdir p | Delete p | Truncate (p, _) | Write (p, _, _)
-                 ->
+               | Op.Create p | Op.Mkdir p | Op.Delete p
+               | Op.Truncate { path = p; _ }
+               | Op.Write { path = p; _ }
+               | Op.Append { path = p; _ } ->
                    touch p
-               | Rename (a, b) | Link (a, b) ->
-                   touch a;
-                   touch b
-               | Read _ | Readdir _ | Sync | Flush_caches -> ());
+               | Op.Rename { src; dst } | Op.Link { src; dst } ->
+                   touch src;
+                   touch dst
+               | Op.Read _ | Op.Readdir _ | Op.Sync | Op.Flush -> ());
                R.apply fs model step op;
                if step = List.length ops / 2 then begin
                  (* Checkpoint mid-run and arm the crash after it. *)
@@ -380,17 +317,15 @@ let prop_lfs_crash_recovery =
         (fun (p, id, content) ->
           if not (touched p || Hashtbl.mem touched_ids id) then begin
             match
-              Lfs_core.Fs.read fs2 (path_to_string p) ~off:0
-                ~len:(Bytes.length content + 16)
+              Lfs_core.Fs.read fs2 p ~off:0 ~len:(Bytes.length content + 16)
             with
             | Ok b ->
                 if not (Bytes.equal b content) then
                   QCheck.Test.fail_reportf
-                    "checkpointed file %s corrupted after crash"
-                    (path_to_string p)
+                    "checkpointed file %s corrupted after crash" p
             | Error e ->
-                QCheck.Test.fail_reportf "checkpointed file %s lost: %s"
-                  (path_to_string p) (E.to_string e)
+                QCheck.Test.fail_reportf "checkpointed file %s lost: %s" p
+                  (E.to_string e)
           end)
         !stable;
       true)

@@ -5,6 +5,7 @@
 
 module Scenario = Lfs_scenario.Scenario
 module Driver = Lfs_workload.Driver
+module Op = Lfs_workload.Op
 
 let contains s sub =
   let n = String.length s and m = String.length sub in
@@ -32,7 +33,7 @@ let test_shrink_pure () =
 (* ---------- stream compilation ---------- *)
 
 let test_steps_deterministic () =
-  let render spec = List.map Scenario.pp_step (Scenario.steps_of spec) in
+  let render spec = List.map Op.to_string (Scenario.steps_of spec) in
   let spec = Scenario.(make |> seed 99) in
   Alcotest.(check (list string)) "same spec, same steps" (render spec)
     (render spec);
@@ -74,13 +75,40 @@ let test_engine_mode () =
 (* The planted invariant rejects any surviving root entry, so any
    scenario that creates anything fails it — and the minimal
    counterexample is a single root-level create/mkdir. *)
+let empty_root inst =
+  match Driver.readdir inst "/" with
+  | [] -> []
+  | l -> [ Printf.sprintf "root holds %d entries" (List.length l) ]
+
 let planted_spec s =
   Scenario.(
     make |> count 24 |> seed s
-    |> invariant ~name:"planted-empty-root" (fun inst ->
-           match Driver.readdir inst "/" with
-           | [] -> []
-           | l -> [ Printf.sprintf "root holds %d entries" (List.length l) ]))
+    |> invariant ~name:"planted-empty-root" empty_root)
+
+let op =
+  Alcotest.testable
+    (fun ppf o -> Format.pp_print_string ppf (Op.to_string o))
+    ( = )
+
+(* The printed counterexample is replayable: its steps parse back to
+   exactly the ops a shrink over a plain replay of the stream finds. *)
+let check_replayable (f : Scenario.failure) spec =
+  let parsed =
+    List.map
+      (fun s ->
+        match Op.of_string s with Ok o -> o | Error e -> Alcotest.fail e)
+      f.Scenario.steps
+  in
+  let fails ops =
+    let inst =
+      Lfs_vfs.Fs_intf.Instance ((module Lfs_core.Fs), Common.make_lfs ())
+    in
+    List.iter (fun o -> ignore (Op.run inst o)) ops;
+    match empty_root inst with [] -> None | v :: _ -> Some v
+  in
+  Alcotest.(check (list op)) "steps parse back to the shrunk ops"
+    (Scenario.shrink ~fails (Scenario.steps_of spec))
+    parsed
 
 let test_shrinker_deterministic () =
   let r1 = Scenario.run (planted_spec 4242) in
@@ -97,6 +125,7 @@ let test_shrinker_deterministic () =
         f2.Scenario.replay;
       Alcotest.(check string) "byte-identical reports" (Scenario.render r1)
         (Scenario.render r2);
+      check_replayable f1 (planted_spec 4242);
       if not (contains f1.Scenario.replay "--replay 4242") then
         Alcotest.failf "replay line lacks the seed: %s" f1.Scenario.replay
   | _ -> Alcotest.fail "planted invariant did not fail the scenario"

@@ -1,84 +1,112 @@
-(* The trace substrate: generation properties, serialization, replay. *)
+(* The trace substrate and the op vocabulary: generation properties, the
+   op text form, replay. *)
 
 module W = Lfs_workload
 module Trace = Lfs_workload.Trace
+module Op = Lfs_workload.Op
 module Model_fs = Lfs_scenario.Model_fs
 
 let qcheck = QCheck_alcotest.to_alcotest
 
 let test_generation_well_formed () =
-  let events = Trace.generate ~seed:1 ~config:{ Trace.default_gen with Trace.events = 2_000; target_live = 300 } () in
+  let ops = Trace.generate ~seed:1 ~config:{ Trace.default_gen with Trace.events = 2_000; target_live = 300 } () in
   (* Replay against the pure model: a well-formed trace never produces a
      failing operation. *)
   let model = Model_fs.create () in
-  let split p = List.tl (String.split_on_char '/' p) in
   List.iteri
-    (fun i ev ->
-      let outcome =
-        match ev with
-        | Trace.Mkdir { path } -> Model_fs.mkdir model (split path)
-        | Trace.Create { path; size } ->
-            (match Model_fs.create_file model (split path) with
-            | Model_fs.Done -> Model_fs.write model (split path) ~off:0 (Bytes.create size)
-            | other -> other)
-        | Trace.Overwrite { path; size } ->
-            Model_fs.write model (split path) ~off:0 (Bytes.create size)
-        | Trace.Read { path } -> (
-            match Model_fs.read model (split path) ~off:0 ~len:1 with
-            | Model_fs.Data _ -> Model_fs.Done
-            | other -> other)
-        | Trace.Delete { path } -> Model_fs.delete model (split path)
-      in
-      if outcome = Model_fs.Failed then
-        Alcotest.failf "event %d (%s) fails on the model" i
-          (Format.asprintf "%a" Trace.pp_event ev))
-    events
+    (fun i op ->
+      if Result.is_error (Model_fs.apply model op) then
+        Alcotest.failf "op %d (%s) fails on the model" i (Op.to_string op))
+    ops
 
 let test_generation_mix () =
-  let events =
+  let ops =
     Trace.generate ~seed:7
       ~config:{ Trace.default_gen with Trace.events = 5_000; target_live = 500 }
       ()
   in
-  let creates = ref 0 and reads = ref 0 and small = ref 0 in
+  let writes = ref 0 and reads = ref 0 and small = ref 0 in
   List.iter
-    (fun ev ->
-      match ev with
-      | Trace.Create { size; _ } ->
-          incr creates;
-          if size <= 8192 then incr small
-      | Trace.Read _ -> incr reads
-      | Trace.Overwrite _ | Trace.Delete _ | Trace.Mkdir _ -> ())
-    events;
+    (fun op ->
+      match op with
+      | Op.Write { len; _ } ->
+          incr writes;
+          if len <= 8192 then incr small
+      | Op.Read _ -> incr reads
+      | _ -> ())
+    ops;
   (* The office/engineering profile: mostly small files, plenty of
      reads. *)
   Alcotest.(check bool) "mostly small files" true
-    (float_of_int !small > 0.7 *. float_of_int !creates);
+    (float_of_int !small > 0.7 *. float_of_int !writes);
   Alcotest.(check bool) "reads happen" true (!reads > 1000)
 
-let prop_serialization_roundtrip =
-  QCheck.Test.make ~name:"trace line roundtrip" ~count:100
-    QCheck.(pair (int_bound 1000) (int_bound 100))
-    (fun (seed, extra) ->
-      let events =
-        Trace.generate ~seed
-          ~config:{ Trace.default_gen with Trace.events = 50 + extra; target_live = 20; dirs = 3 }
-          ()
-      in
-      Trace.of_lines (Trace.to_lines events) = events)
+let op_gen =
+  let open QCheck.Gen in
+  let path = map (fun l -> "/" ^ String.concat "/" l) (list_size (int_range 1 3) (oneofl [ "a"; "b"; "dir000"; "f000001" ])) in
+  let size = int_bound 100_000 in
+  oneof
+    [
+      map (fun p -> Op.Mkdir p) path;
+      map (fun p -> Op.Create p) path;
+      map4 (fun path off seed len -> Op.Write { path; off; seed; len }) path size int size;
+      map3 (fun path seed len -> Op.Append { path; seed; len }) path int size;
+      map (fun path -> Op.Read { path; range = None }) path;
+      map3 (fun path off len -> Op.Read { path; range = Some (off, len) }) path size size;
+      map2 (fun path size -> Op.Truncate { path; size }) path size;
+      map2 (fun src dst -> Op.Rename { src; dst }) path path;
+      map2 (fun src dst -> Op.Link { src; dst }) path path;
+      map (fun p -> Op.Readdir p) path;
+      map (fun p -> Op.Delete p) path;
+      pure Op.Sync;
+      pure Op.Flush;
+    ]
+
+let prop_op_roundtrip =
+  QCheck.Test.make ~name:"op text roundtrip" ~count:500
+    (QCheck.make ~print:Op.to_string op_gen)
+    (fun op -> Op.of_string (Op.to_string op) = Ok op)
+
+let test_op_grammar () =
+  let parses tok op =
+    Alcotest.(check bool) tok true (Op.of_string tok = Ok op)
+  in
+  (* Optional trailing fields take their defaults. *)
+  parses "write:/t:8192" (Op.Write { path = "/t"; off = 0; seed = 7; len = 8192 });
+  parses "write:/t:10:3" (Op.Write { path = "/t"; off = 0; seed = 3; len = 10 });
+  parses "append:/t:10" (Op.Append { path = "/t"; seed = 7; len = 10 });
+  parses "read:/t" (Op.Read { path = "/t"; range = None });
+  parses "read:/t:10" (Op.Read { path = "/t"; range = Some (0, 10) });
+  (* Malformed text is an [Error], never an exception. *)
+  List.iter
+    (fun tok ->
+      match Op.of_string tok with
+      | Error _ -> ()
+      | Ok op -> Alcotest.failf "%S parsed as %s" tok (Op.to_string op)
+      | exception e -> Alcotest.failf "%S raised %s" tok (Printexc.to_string e))
+    [
+      "C /x abc"; "C /x -5"; "write:/x:abc"; "write:/x:-5"; "write:/x:5:1:-1";
+      "write:/x:5:1:2:3"; "read:/x:-1"; "read:/x:4:-2"; "truncate:/x:-1";
+      "append:/x"; "rename:/x"; "sync:now"; "";
+    ];
+  match Op.of_lines "mkdir:/d\n\ncreate:/d/f\nwrite:/d/f:x\n" with
+  | Error e ->
+      Alcotest.(check bool) ("line number in " ^ e) true
+        (String.length e > 7 && String.sub e 0 7 = "line 4:")
+  | Ok _ -> Alcotest.fail "of_lines accepted a bad line"
 
 let test_replay_both_systems () =
-  let events =
+  let ops =
     Trace.generate ~seed:3
       ~config:{ Trace.default_gen with Trace.events = 800; target_live = 150; dirs = 5 }
       ()
   in
   let results =
-    List.map (fun inst -> Trace.replay inst events) (W.Setup.both ~disk_mb:32 ())
+    List.map (fun inst -> Trace.replay inst ops) (W.Setup.both ~disk_mb:32 ())
   in
   match results with
   | [ lfs; ffs ] ->
-      Alcotest.(check int) "same events" lfs.Trace.events ffs.Trace.events;
+      Alcotest.(check int) "same ops" lfs.Trace.ops ffs.Trace.ops;
       Alcotest.(check int) "same bytes written" lfs.Trace.bytes_written
         ffs.Trace.bytes_written;
       Alcotest.(check int) "same bytes read" lfs.Trace.bytes_read
@@ -93,6 +121,8 @@ let suite =
     Alcotest.test_case "generated traces are well-formed" `Quick
       test_generation_well_formed;
     Alcotest.test_case "workload mix" `Quick test_generation_mix;
-    qcheck prop_serialization_roundtrip;
+    qcheck prop_op_roundtrip;
+    Alcotest.test_case "op grammar and typed parse errors" `Quick
+      test_op_grammar;
     Alcotest.test_case "replay on both systems" `Slow test_replay_both_systems;
   ]
