@@ -93,9 +93,11 @@ let move_data_block (st : State.t) ~inum ~blkno ~version payload ~off =
   release st old ~bytes:bs;
   Cache.mark_clean st.cache key
 
-(* The block at [addr] is [payload]'s [block_size] bytes at [off];
-   only the pointer blocks the cache keeps are copied out.  [moved]
-   accumulates the *bytes* of live data being relocated. *)
+(* The block at [addr] is [payload]'s [block_size] bytes at [off].
+   [payload] is the mount's reused victim buffer, so nothing may keep a
+   reference into it: data blocks are copied into the segment being
+   built, and the pointer blocks the cache keeps are copied out.
+   [moved] accumulates the *bytes* of live data being relocated. *)
 let process_entry (st : State.t) ~addr ~payload ~off entry ~moved =
   let bs = st.layout.Layout.block_size in
   let slice () = Bytes.sub payload off bs in
@@ -143,23 +145,28 @@ let process_entry (st : State.t) ~addr ~payload ~off entry ~moved =
   | Summary.Inode_block ->
       let per_block = Layout.inodes_per_block st.layout in
       for slot = 0 to per_block - 1 do
-        match Inode.decode_at payload ~off:(off + (slot * Layout.inode_bytes)) with
-        | None -> ()
-        | Some ino -> (
-            let inum = ino.Inode.inum in
-            if
-              inum > 0
-              && inum < Imap.max_files st.imap
-              && Imap.is_allocated st.imap inum
-            then
-              match Imap.location st.imap inum with
-              | Some (a, s) when a = addr && s = slot ->
-                  (* Live inode: pull it into the table (preferring any
-                     newer in-memory copy) and force a rewrite. *)
-                  let e = Inode_store.materialize st ino in
-                  Inode_store.mark_dirty e;
-                  moved := !moved + Layout.inode_bytes
-              | Some _ | None -> ())
+        let slot_off = off + (slot * Layout.inode_bytes) in
+        let inum = Inode.inum_at payload ~off:slot_off in
+        if
+          inum > 0
+          && inum < Imap.max_files st.imap
+          && Imap.is_allocated st.imap inum
+        then
+          match Imap.location st.imap inum with
+          | Some (a, s) when a = addr && s = slot ->
+              (* Live inode: force a rewrite of the table's copy, which
+                 is never older than this one.  Only a file the table
+                 lacks is decoded (a nonzero inum always decodes). *)
+              let e =
+                match Inode_store.find_loaded st inum with
+                | Some e -> e
+                | None ->
+                    Inode_store.materialize st
+                      (Option.get (Inode.decode_at payload ~off:slot_off))
+              in
+              Inode_store.mark_dirty e;
+              moved := !moved + Layout.inode_bytes
+          | Some _ | None -> ()
       done
   | Summary.Imap_block { idx } ->
       if st.imap_block_addr.(idx) = addr then begin
@@ -172,11 +179,27 @@ let process_entry (st : State.t) ~addr ~payload ~off entry ~moved =
         moved := !moved + bs
       end
 
+(* The mount's victim buffer, holding at least [nblocks] blocks: one
+   segment's payload from the first pass on, grown only for a summary
+   that claims more. *)
+let victim_buffer (st : State.t) ~nblocks =
+  let layout = st.layout in
+  let need =
+    max layout.Layout.payload_blocks nblocks * layout.Layout.block_size
+  in
+  if Bytes.length st.victim_buf < need then
+    st.victim_buf <- Bytes.create need;
+  st.victim_buf
+
 (* Evacuate one victim; [false] if it must stay dirty.  A summary that
    does not decode describes nothing, so the live data Seg_usage still
    records in the segment cannot be found and moved: freeing it would
-   destroy that data.  Only a segment with nothing live (one torn by a
-   crash before any checkpoint referenced it) is freed without one. *)
+   destroy that data.  A payload that fails its summary's CRC is treated
+   the same way: moving it would give damaged blocks a fresh, valid CRC
+   in their new segment.  The check also means no stale bytes of the
+   reused buffer, past what this read filled, are ever relocated.  Only
+   a segment with nothing live (one torn by a crash before any
+   checkpoint referenced it) is freed without a usable summary. *)
 let clean_segment (st : State.t) seg ~moved ~max_seq =
   let layout = st.layout in
   let bs = layout.Layout.block_size in
@@ -192,21 +215,28 @@ let clean_segment (st : State.t) seg ~moved ~max_seq =
   | None -> Seg_usage.live_bytes st.usage seg = 0
   | Some (header, entries) ->
       max_seq := max !max_seq header.Summary.seq;
-      let payload =
-        Io.sync_read st.io
+      let nblocks = header.Summary.nblocks in
+      let payload = victim_buffer st ~nblocks in
+      if nblocks > 0 then
+        Io.sync_read_into st.io
           ~sector:
             (Layout.sector_of_block layout
                (first + layout.Layout.summary_blocks))
-          ~count:(header.Summary.nblocks * layout.Layout.block_sectors)
-      in
-      Metrics.add st.counters.State.c_cleaner_bytes_read
-        (header.Summary.nblocks * bs);
-      List.iteri
-        (fun idx entry ->
-          let addr = Layout.segment_payload_block layout ~seg ~idx in
-          process_entry st ~addr ~payload ~off:(idx * bs) entry ~moved)
-        entries;
-      true
+          ~count:(nblocks * layout.Layout.block_sectors)
+          payload;
+      Metrics.add st.counters.State.c_cleaner_bytes_read (nblocks * bs);
+      if
+        Summary.payload_crc payload ~off:0 ~len:(nblocks * bs)
+        <> header.Summary.payload_crc
+      then Seg_usage.live_bytes st.usage seg = 0
+      else begin
+        List.iteri
+          (fun idx entry ->
+            let addr = Layout.segment_payload_block layout ~seg ~idx in
+            process_entry st ~addr ~payload ~off:(idx * bs) entry ~moved)
+          entries;
+        true
+      end
 
 (* Evacuate [victims] and mark them clean; the shared machinery behind
    both policy-driven and exact cleaning. *)

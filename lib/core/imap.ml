@@ -126,7 +126,8 @@ let clear_dirty t = Bitset.clear_all t.dirty
 let encode_block t ~idx =
   if idx < 0 || idx >= n_blocks t then invalid_arg "Imap.encode_block";
   let bs = t.layout.Layout.block_size in
-  let e = Codec.encoder ~capacity:bs () in
+  let block = Bytes.create bs in
+  let e = Codec.encoder_into block ~off:0 ~len:bs in
   let base = idx * t.entries_per_block in
   for i = base to base + t.entries_per_block - 1 do
     if i < max_files t then begin
@@ -139,7 +140,7 @@ let encode_block t ~idx =
     end
   done;
   Codec.pad_to e bs;
-  Codec.to_bytes e
+  block
 
 let load_block t ~idx block =
   if idx < 0 || idx >= n_blocks t then invalid_arg "Imap.load_block";

@@ -44,17 +44,20 @@ let kind_of_tag = function
   | n -> raise (Codec.Error (Printf.sprintf "inode: bad kind tag %d" n))
 
 let encode_into t buf ~off =
-  let e = Codec.encoder ~capacity:Layout.inode_bytes () in
+  let e = Codec.encoder_into buf ~off ~len:Layout.inode_bytes in
   Codec.u32 e t.inum;
   Codec.u8 e (kind_tag t.kind);
   Codec.u16 e t.nlink;
   Codec.int_as_i64 e t.size;
   Codec.int_as_i64 e t.mtime_us;
-  Array.iter (fun a -> Codec.u32 e a) t.direct;
+  for i = 0 to ndirect - 1 do
+    Codec.u32 e t.direct.(i)
+  done;
   Codec.u32 e t.indirect;
   Codec.u32 e t.dindirect;
-  Codec.pad_to e Layout.inode_bytes;
-  Bytes.blit (Codec.to_bytes e) 0 buf off Layout.inode_bytes
+  Codec.pad_to e Layout.inode_bytes
+
+let inum_at buf ~off = Codec.read_u32 (Codec.decoder ~off ~len:4 buf)
 
 let decode_at buf ~off =
   let d = Codec.decoder ~off ~len:Layout.inode_bytes buf in

@@ -36,7 +36,16 @@ val max_size : Layout.t -> int
 (** Largest representable file (direct + single + double indirect). *)
 
 val encode_into : t -> bytes -> off:int -> unit
-(** Write the fixed {!Layout.inode_bytes}-byte representation at [off]. *)
+(** Write the fixed {!Layout.inode_bytes}-byte representation at [off],
+    directly into [buf] (the fields, then zero padding to the slot's
+    end).
+    @raise Lfs_util.Codec.Error if a field is out of range for its
+    on-disk width or the slot does not fit in [buf]; the slot may then
+    be partly written. *)
+
+val inum_at : bytes -> off:int -> int
+(** The inum of the slot at [off] without decoding the rest (0 for an
+    empty slot). *)
 
 val decode_at : bytes -> off:int -> t option
 (** [None] for an empty slot. *)

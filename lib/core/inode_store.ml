@@ -195,10 +195,19 @@ let entry_dirty (e : State.itable_entry) =
   e.ino_dirty || e.ind_dirty || e.dind_top_dirty
   || Bitset.cardinal e.dind_child_dirty > 0
 
+(* Sorted in place: inums are unique, so the unstable sort has one
+   result, and it allocates nothing beyond the array and the list. *)
 let dirty_inodes (st : State.t) =
-  Hashtbl.fold (fun _ e acc -> if entry_dirty e then e :: acc else acc) st.itable []
-  |> List.sort (fun a b ->
-         compare a.State.ino.Inode.inum b.State.ino.Inode.inum)
+  let dirty =
+    Hashtbl.fold
+      (fun _ e acc -> if entry_dirty e then e :: acc else acc)
+      st.itable []
+    |> Array.of_list
+  in
+  Array.sort
+    (fun a b -> Int.compare a.State.ino.Inode.inum b.State.ino.Inode.inum)
+    dirty;
+  Array.to_list dirty
 
 let clear_clean (st : State.t) =
   Hashtbl.iter

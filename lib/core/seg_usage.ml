@@ -129,7 +129,8 @@ let state_of_tag = function
 let encode_block t ~idx =
   if idx < 0 || idx >= n_blocks t then invalid_arg "Seg_usage.encode_block";
   let bs = t.layout.Layout.block_size in
-  let e = Codec.encoder ~capacity:bs () in
+  let block = Bytes.create bs in
+  let e = Codec.encoder_into block ~off:0 ~len:bs in
   let base = idx * t.entries_per_block in
   for i = base to base + t.entries_per_block - 1 do
     if i < nsegments t then begin
@@ -142,7 +143,7 @@ let encode_block t ~idx =
     end
   done;
   Codec.pad_to e bs;
-  Codec.to_bytes e
+  block
 
 let load_block t ~idx block =
   if idx < 0 || idx >= n_blocks t then invalid_arg "Seg_usage.load_block";

@@ -67,6 +67,9 @@ type t = {
   usage : Seg_usage.t;
   itable : (int, itable_entry) Hashtbl.t;
   seg : segbuf;
+  mutable victim_buf : bytes;
+      (** the cleaner's read buffer for a victim's payload, reused by
+          every segment it cleans; empty until the first pass *)
   mutable next_seq : int;  (** sequence number for the next segment write *)
   mutable tail_segment : int;  (** last segment written; -1 if none *)
   mutable imap_block_addr : int array;
@@ -134,6 +137,7 @@ let create io config layout =
         nblocks = 0;
         entries_rev = [];
       };
+    victim_buf = Bytes.empty;
     next_seq = 1;
     tail_segment = -1;
     imap_block_addr = Array.make layout.Layout.n_imap_blocks Layout.null_addr;

@@ -61,6 +61,7 @@ type t = {
   usage : Seg_usage.t;
   itable : (int, itable_entry) Hashtbl.t;
   seg : segbuf;
+  mutable victim_buf : bytes;
   mutable next_seq : int;
   mutable tail_segment : int;
   mutable imap_block_addr : int array;

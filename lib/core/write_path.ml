@@ -100,9 +100,10 @@ let flush_file_data (st : State.t) ~privilege inum blknos =
         (List.sort compare blknos);
       flush_pointer_blocks st ~privilege e
 
-(* Pack all dirty inodes into shared inode blocks and point the inode map
-   at them. *)
-let flush_inodes (st : State.t) ~privilege =
+(* Pack [dirty] — the dirty inodes, by inum, whose pointer blocks are
+   already written — into shared inode blocks and point the inode map at
+   them. *)
+let flush_inodes (st : State.t) ~privilege dirty =
   let layout = st.layout in
   let bs = layout.Layout.block_size in
   let per_block = Layout.inodes_per_block layout in
@@ -141,7 +142,19 @@ let flush_inodes (st : State.t) ~privilege =
         e.ino_dirty <- false)
       group
   in
-  List.iter flush_group (chunks (Inode_store.dirty_inodes st))
+  List.iter flush_group (chunks dirty)
+
+(* Pointer blocks and inodes only — the part of the backlog that is
+   small and bounded (no file data).  Used by the cleaner to persist its
+   evacuations.  The dirty set is scanned once: writing an entry's
+   pointer blocks leaves its inode dirty, so after that pass the dirty
+   inodes are exactly these entries. *)
+let flush_metadata (st : State.t) ~privilege =
+  let dirty = Inode_store.dirty_inodes st in
+  List.iter
+    (fun (e : State.itable_entry) -> flush_pointer_blocks st ~privilege e)
+    dirty;
+  flush_inodes st ~privilege dirty
 
 let flush_data (st : State.t) ~privilege =
   if not st.flushing then begin
@@ -170,10 +183,7 @@ let flush_data (st : State.t) ~privilege =
           (List.rev !order);
         (* Files whose metadata is dirty without dirty data (deletes that
            touched the directory inode, cleaner-marked pointer blocks...) *)
-        List.iter
-          (fun (e : State.itable_entry) -> flush_pointer_blocks st ~privilege e)
-          (Inode_store.dirty_inodes st);
-        flush_inodes st ~privilege)
+        flush_metadata st ~privilege)
   end
 
 (* fsync: push exactly one file — its dirty data blocks, pointer blocks
@@ -207,15 +217,6 @@ let flush_file (st : State.t) ~privilege inum =
       Imap.set_location st.imap inum ~addr ~slot:0;
       e.State.ino_dirty <- false
   | Some _ | None -> ()
-
-(* Pointer blocks and inodes only — the part of the backlog that is
-   small and bounded (no file data).  Used by the cleaner to persist its
-   evacuations. *)
-let flush_metadata (st : State.t) ~privilege =
-  List.iter
-    (fun (e : State.itable_entry) -> flush_pointer_blocks st ~privilege e)
-    (Inode_store.dirty_inodes st);
-  flush_inodes st ~privilege
 
 let sync (st : State.t) ~privilege =
   flush_data st ~privilege;

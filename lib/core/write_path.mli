@@ -27,9 +27,10 @@ val flush_file : State.t -> privilege:State.privilege -> int -> unit
     (fsync's narrow flush); other files' dirty data stays buffered. *)
 
 val flush_metadata : State.t -> privilege:State.privilege -> unit
-(** Write only dirty pointer blocks, inodes, and inode-map/usage blocks —
-    the bounded flush the cleaner uses to make its evacuations durable
-    without dragging the whole data backlog along. *)
+(** Write only dirty pointer blocks and inodes — the bounded flush the
+    cleaner uses to make its evacuations durable without dragging the
+    whole data backlog along ({!flush_meta_blocks} writes the inode-map
+    and usage blocks). *)
 
 val flush_meta_blocks : State.t -> privilege:State.privilege -> unit
 (** Write dirty inode-map and segment-usage blocks to the log, recording

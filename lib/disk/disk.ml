@@ -177,8 +177,11 @@ let service ?start_us t ~sector ~count =
     (match start_us with Some s -> s | None -> t.last_end_us) + total;
   total
 
-let read ?start_us t ~sector ~count =
+let read_into ?start_us t ~sector ~count buf ~off =
   check_range t sector count;
+  let ss = t.geometry.Geometry.sector_size in
+  if off < 0 || off + (count * ss) > Bytes.length buf then
+    invalid_arg "Disk.read_into: buffer too short";
   (match t.fault_hook with
   | Some h -> h.on_read ~sector ~count
   | None -> ());
@@ -186,8 +189,8 @@ let read ?start_us t ~sector ~count =
   cell_incr t.c_reads;
   cell_add t.c_sectors_read count;
   cell_add t.c_busy_us us;
-  let ss = t.geometry.Geometry.sector_size in
-  (Bytes.sub t.store (sector * ss) (count * ss), us)
+  Bytes.blit t.store (sector * ss) buf off (count * ss);
+  us
 
 let write ?start_us ?len t ~sector data =
   if t.crashed then raise Crash;

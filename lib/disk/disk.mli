@@ -86,9 +86,11 @@ val last_was_streamed : t -> bool
     [disk.seeks] is unchanged) but still pays rotational latency and is
     not sequential. *)
 
-val read : ?start_us:int -> t -> sector:int -> count:int -> bytes * int
-(** [read t ~sector ~count] returns the data of [count] sectors and the
-    service time in microseconds.
+val read_into :
+  ?start_us:int -> t -> sector:int -> count:int -> bytes -> off:int -> int
+(** [read_into t ~sector ~count buf ~off] copies [count] sectors into
+    [buf] at [off] and returns the service time in microseconds.  A
+    request the fault hook fails leaves [buf] untouched.
 
     [start_us] is the simulated time the request reaches the device.
     With it, a request that continues the previous transfer but arrives
@@ -96,12 +98,12 @@ val read : ?start_us:int -> t -> sector:int -> count:int -> bytes * int
     kept spinning, so the head waits out the remainder of the current
     rotation.  Without it the request is treated as issued back to back
     (zero positioning on exact continuation — the historical model).
-    @raise Invalid_argument if out of range. *)
+    @raise Invalid_argument if out of range or [buf] is too short. *)
 
 val write : ?start_us:int -> ?len:int -> t -> sector:int -> bytes -> int
 (** [write t ~sector data] writes the first [len] bytes of [data]
     (default: all of it; a positive multiple of the sector size) and
-    returns the service time.  [start_us] as in {!read}.
+    returns the service time.  [start_us] as in {!read_into}.
     @raise Crash if a crash point is reached (the write may be torn).
     @raise Invalid_argument if out of range or misaligned. *)
 

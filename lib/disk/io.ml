@@ -154,16 +154,15 @@ let emit_volume_op t ~op ~sector ~sectors ~runs =
    service time, so the head never moves and the clock advances by the
    (exponentially growing) wait between attempts.  A retry starts no
    earlier than the end of its backoff. *)
-let read_with_retries t lane ~arrival_us ~sector ~count ~sync =
+let read_with_retries t lane ~arrival_us ~sector ~count ~sync buf =
   let rec attempt n ~not_before =
     let start_us = max (max lane.l_busy_until_us arrival_us) not_before in
-    match Disk.read ~start_us lane.l_disk ~sector ~count with
-    | data, service_us ->
+    match Disk.read_into ~start_us lane.l_disk ~sector ~count buf ~off:0 with
+    | service_us ->
         let sequential = Disk.last_was_streamed lane.l_disk in
         record t ~kind:`Read ~sync ~sector ~sectors:count ~service_us
           ~sequential;
-        lane.l_busy_until_us <- start_us + service_us;
-        data
+        lane.l_busy_until_us <- start_us + service_us
     | exception Disk.Read_fault _ ->
         if n >= t.read_attempts then raise (Read_failed { sector; attempts = n })
         else begin
@@ -181,42 +180,39 @@ let read_with_retries t lane ~arrival_us ~sector ~count ~sync =
    request has arrived — time that may already lie in the past by the
    moment the dispatch order is decided (lazy dispatch still charges the
    device as if it ran continuously).  A write's payload may be longer
-   than the request: only its first [count] sectors are written.
-   Returns the payload for reads. *)
+   than the request: only its first [count] sectors are written.  A
+   read lands in the buffer its entry carries. *)
 let dispatch_entry t lane (e : Sched.entry) =
   let arrival_us = e.Sched.arrival_us in
   let start = max lane.l_busy_until_us arrival_us in
   let wait_us = start - arrival_us in
   let depth = Sched.length lane.l_sched in
-  let payload =
-    match e.Sched.kind with
-    | `Write ->
-        let service_us =
-          Disk.write ~start_us:start
-            ~len:(e.Sched.count * sector_size t)
-            lane.l_disk ~sector:e.Sched.sector (Option.get e.Sched.data)
-        in
-        record t ~kind:`Write ~sync:e.Sched.sync ~sector:e.Sched.sector
-          ~sectors:e.Sched.count ~service_us
-          ~sequential:(Disk.last_was_streamed lane.l_disk);
-        lane.l_busy_until_us <- start + service_us;
-        None
-    | `Read ->
-        Some
-          (read_with_retries t lane ~arrival_us ~sector:e.Sched.sector
-             ~count:e.Sched.count ~sync:e.Sched.sync)
-  in
+  (match e.Sched.kind with
+  | `Write ->
+      let service_us =
+        Disk.write ~start_us:start
+          ~len:(e.Sched.count * sector_size t)
+          lane.l_disk ~sector:e.Sched.sector (Option.get e.Sched.data)
+      in
+      record t ~kind:`Write ~sync:e.Sched.sync ~sector:e.Sched.sector
+        ~sectors:e.Sched.count ~service_us
+        ~sequential:(Disk.last_was_streamed lane.l_disk);
+      lane.l_busy_until_us <- start + service_us
+  | `Read ->
+      read_with_retries t lane ~arrival_us ~sector:e.Sched.sector
+        ~count:e.Sched.count ~sync:e.Sched.sync (Option.get e.Sched.data));
   Metrics.observe t.h_queue_wait wait_us;
   emit_queue t ~action:`Dispatch ~kind:e.Sched.kind ~sector:e.Sched.sector
-    ~sectors:e.Sched.count ~depth ~wait_us;
-  payload
+    ~sectors:e.Sched.count ~depth ~wait_us
 
 (* The oldest entry is always eligible, so a non-empty queue always
    dispatches: no livelock. *)
 let dispatch_next t lane =
   match Sched.select lane.l_sched ~head:(Disk.head_sector lane.l_disk) with
   | None -> None
-  | Some e -> Some (e, dispatch_entry t lane e)
+  | Some e ->
+      dispatch_entry t lane e;
+      Some e
 
 let dispatch_lane t lane =
   let rec go () = if Option.is_some (dispatch_next t lane) then go () in
@@ -224,15 +220,14 @@ let dispatch_lane t lane =
 
 let dispatch_all t = Array.iter (dispatch_lane t) t.lanes
 
-(* Dispatch in discipline order until the entry [id] has been serviced;
-   returns its read payload.  Requests the discipline ranks ahead of the
-   target are serviced first — this is the convoy a synchronous caller
-   pays behind a deep queue. *)
+(* Dispatch in discipline order until the entry [id] has been serviced.
+   Requests the discipline ranks ahead of the target are serviced first
+   — this is the convoy a synchronous caller pays behind a deep queue. *)
 let dispatch_until t lane ~id =
   let rec go () =
     match dispatch_next t lane with
-    | None -> None
-    | Some (e, payload) -> if e.Sched.id = id then payload else go ()
+    | None -> ()
+    | Some e -> if e.Sched.id <> id then go ()
   in
   go ()
 
@@ -278,7 +273,7 @@ let gather ~ss ~len data run =
   end
 
 (* Spread one read run's member-contiguous data back into the logical
-   result buffer. *)
+   destination buffer. *)
 let scatter ~ss data run out =
   let pos = ref 0 in
   List.iter
@@ -289,10 +284,10 @@ let scatter ~ss data run out =
 
 (* ---- per-run service: every request passes through its lane's queue ---- *)
 
-(* One read run on one lane. *)
-let lane_read_run t lane ~sector ~count ~sync =
-  let e = enqueue t lane ~kind:`Read ~sync ~sector ~count ~data:None in
-  Option.get (dispatch_until t lane ~id:e.Sched.id)
+(* One read run on one lane, landing at the start of [buf]. *)
+let lane_read_run t lane ~sector ~count ~sync buf =
+  let e = enqueue t lane ~kind:`Read ~sync ~sector ~count ~data:(Some buf) in
+  dispatch_until t lane ~id:e.Sched.id
 
 (* One synchronous write run on one lane (payload already gathered and
    owned by the caller). *)
@@ -301,7 +296,7 @@ let lane_sync_write_run t lane ~sector data =
   let e =
     enqueue t lane ~kind:`Write ~sync:true ~sector ~count ~data:(Some data)
   in
-  ignore (dispatch_until t lane ~id:e.Sched.id : bytes option)
+  dispatch_until t lane ~id:e.Sched.id
 
 (* One asynchronous write run of [data]'s first [len] bytes on one lane.
    [owned] says whether [data] (then exactly [len] bytes) may stay queued
@@ -321,7 +316,7 @@ let lane_async_write_run t lane ~sector ~owned ~len data =
   (* Bounded queue: past [max_queue] pending requests the member must
      make room before the caller may continue. *)
   while Sched.length lane.l_sched > t.max_queue do
-    ignore (dispatch_next t lane : (Sched.entry * bytes option) option)
+    ignore (dispatch_next t lane : Sched.entry option)
   done
 
 (* ---- mirror read load balancing ---- *)
@@ -342,14 +337,15 @@ let mirror_order t ~sector =
 
 (* A failed replica is transparently retried on the next-best member;
    only when every replica exhausts its retry budget does the failure
-   surface.  Each fail-over is counted in [io.degraded_reads]. *)
-let mirror_read t ~sector ~count ~sync =
+   surface.  Each fail-over is counted in [io.degraded_reads].  A failed
+   attempt never touches [buf]. *)
+let mirror_read t ~sector ~count ~sync buf =
   let rec go last = function
     | [] -> (
         match last with Some e -> raise e | None -> assert false)
     | lane :: rest -> (
-        match lane_read_run t lane ~sector ~count ~sync with
-        | data -> (data, lane)
+        match lane_read_run t lane ~sector ~count ~sync buf with
+        | () -> lane
         | exception (Read_failed _ as e) ->
             if rest <> [] then Metrics.incr t.c_degraded_reads;
             go (Some e) rest)
@@ -358,49 +354,49 @@ let mirror_read t ~sector ~count ~sync =
 
 (* ---- public request paths ---- *)
 
-let sync_read t ~sector ~count =
+let sync_read_into t ~sector ~count buf =
+  let ss = sector_size t in
+  if Bytes.length buf < count * ss then
+    invalid_arg "Io.sync_read_into: buffer too short";
   let go () =
     match Volume.policy t.volume with
     | Volume.Mirror ->
         emit_volume_op t ~op:"read" ~sector ~sectors:count ~runs:1;
-        let data, lane = mirror_read t ~sector ~count ~sync:true in
-        Clock.advance_to_us t.clock lane.l_busy_until_us;
-        data
+        let lane = mirror_read t ~sector ~count ~sync:true buf in
+        Clock.advance_to_us t.clock lane.l_busy_until_us
     | Volume.Stripe _ | Volume.Log_stripe _ -> (
         let runs = Volume.Map.map_read (Volume.map t.volume) ~sector ~count in
         emit_volume_op t ~op:"read" ~sector ~sectors:count
           ~runs:(List.length runs);
         match runs with
         | [ r ] ->
-            (* One run covers the whole request in order: the member's
-               buffer is the result. *)
+            (* One run covers the whole request in order: it lands in
+               the caller's buffer directly. *)
             let lane = t.lanes.(r.Volume.member) in
-            let data =
-              lane_read_run t lane ~sector:r.Volume.sector ~count ~sync:true
-            in
-            Clock.advance_to_us t.clock lane.l_busy_until_us;
-            data
+            lane_read_run t lane ~sector:r.Volume.sector ~count ~sync:true buf;
+            Clock.advance_to_us t.clock lane.l_busy_until_us
         | runs ->
-            let ss = sector_size t in
-            let out = Bytes.create (count * ss) in
             let finish = ref 0 in
             List.iter
               (fun (r : Volume.run) ->
                 let lane = t.lanes.(r.Volume.member) in
-                let data =
-                  lane_read_run t lane ~sector:r.Volume.sector
-                    ~count:r.Volume.count ~sync:true
-                in
-                scatter ~ss data r out;
+                let data = Bytes.create (r.Volume.count * ss) in
+                lane_read_run t lane ~sector:r.Volume.sector
+                  ~count:r.Volume.count ~sync:true data;
+                scatter ~ss data r buf;
                 finish := max !finish lane.l_busy_until_us)
               runs;
             (* The runs were issued together and serviced in parallel:
                the caller resumes when the slowest member finishes. *)
-            Clock.advance_to_us t.clock !finish;
-            out)
+            Clock.advance_to_us t.clock !finish)
   in
   (* The span covers the retry loop too: backoff waits are disk time. *)
   if Bus.enabled t.bus then Bus.with_span t.bus "io_read" go else go ()
+
+let sync_read t ~sector ~count =
+  let buf = Bytes.create (count * sector_size t) in
+  sync_read_into t ~sector ~count buf;
+  buf
 
 let sync_write t ~sector data =
   let go () =

@@ -1,7 +1,7 @@
 (** The I/O scheduler: joins a {!Volume} of member {!Disk}s, a {!Clock}
     and a {!Cpu_model} and decides who pays for each request.
 
-    - [sync_read]/[sync_write] make the caller wait: the clock advances
+    - [sync_read_into]/[sync_write] make the caller wait: the clock advances
       past any queued device work, then by the request's service time.
       These model the synchronous metadata writes that cripple FFS.
     - [async_write] queues work on the device: the device busy horizon
@@ -72,7 +72,7 @@ val of_volume :
     Default backlog: 2 s of queued device time (roughly two segment
     writes ahead on the paper's disk).
 
-    [read_attempts] (default 4) bounds how often {!sync_read} tries a
+    [read_attempts] (default 4) bounds how often {!sync_read_into} tries a
     request that fails with {!Disk.Read_fault}; each retry first waits
     [retry_backoff_us] (default 1 ms) doubled per attempt on the
     simulated clock, accounted in [io.retries]/[io.backoff_us], and is
@@ -126,9 +126,25 @@ val charge_lookup : t -> unit
 
 (** {1 Disk requests} *)
 
-val sync_read : t -> sector:int -> count:int -> bytes
-(** @raise Read_failed when the request still fails after the configured
+val sync_read_into : t -> sector:int -> count:int -> bytes -> unit
+(** [sync_read_into t ~sector ~count buf] reads [count] sectors into the
+    first [count * sector_size] bytes of [buf], waiting for them like
+    every synchronous request; the rest of [buf] is left alone.  This is
+    the one read path.  A request that maps to a single member run (a
+    plain disk, a request inside one stripe chunk) and every mirror read
+    land in [buf] directly, with no intermediate copy; a striped request
+    spanning several runs reads each run into its own buffer and
+    scatters it into [buf].  A failed mirror replica never writes into
+    [buf] before the fail-over.  Callers may reuse [buf] across requests:
+    nothing keeps a reference to it after the call returns.
+    @raise Invalid_argument if [buf] is shorter than the request or the
+    request lies outside the volume.
+    @raise Read_failed when the request still fails after the configured
     number of attempts (see {!of_volume}). *)
+
+val sync_read : t -> sector:int -> count:int -> bytes
+(** A fresh buffer filled by {!sync_read_into}.
+    @raise Read_failed as {!sync_read_into}. *)
 
 val sync_write : t -> sector:int -> bytes -> unit
 (** @raise Invalid_argument unless the data is a positive multiple of the
@@ -161,7 +177,7 @@ val set_scheduler : ?max_queue:int -> t -> Sched.discipline option -> unit
 
     [async_write] enqueues; while the queue holds more than its bound the
     caller dispatches, then the [max_backlog_us] throttle applies.
-    [sync_read] / [sync_write] enqueue themselves and dispatch in
+    [sync_read_into] / [sync_write] enqueue themselves and dispatch in
     discipline order until serviced.  Queue activity is published as
     [Disk_queue] bus events and observed in [io.queue.depth] /
     [io.queue.wait_us], whatever the bound. *)

@@ -37,7 +37,9 @@ type entry = {
   sync : bool;
   sector : int;
   count : int;
-  data : Bytes.t option;  (** writes carry their payload until dispatch *)
+  data : Bytes.t option;
+      (** a write's payload, carried until dispatch; a read's destination
+          buffer, which its sectors fill from offset 0 *)
   arrival_us : int;  (** simulated time the request entered the queue *)
 }
 

@@ -2,12 +2,29 @@ exception Error of string
 
 let error fmt = Format.kasprintf (fun s -> raise (Error s)) fmt
 
-type encoder = { mutable buf : Bytes.t; mutable pos : int }
+(* [pos] is absolute in [buf]; an encoder writes [base, limit).  A
+   growable encoder has [base = 0] and no limit; a window over a caller's
+   buffer never grows. *)
+type encoder = {
+  mutable buf : Bytes.t;
+  mutable pos : int;
+  base : int;
+  limit : int;
+}
 
-let encoder ?(capacity = 256) () = { buf = Bytes.create capacity; pos = 0 }
+let encoder ?(capacity = 256) () =
+  { buf = Bytes.create capacity; pos = 0; base = 0; limit = max_int }
+
+let encoder_into buf ~off ~len =
+  if off < 0 || len < 0 || off + len > Bytes.length buf then
+    error "Codec.encoder_into: bad bounds";
+  { buf; pos = off; base = off; limit = off + len }
 
 let ensure e n =
   let needed = e.pos + n in
+  if needed > e.limit then
+    error "Codec: %d bytes overflow a %d-byte window" (needed - e.base)
+      (e.limit - e.base);
   if needed > Bytes.length e.buf then begin
     let cap = max needed (2 * Bytes.length e.buf) in
     let buf = Bytes.create cap in
@@ -51,15 +68,16 @@ let string_u16 e s =
   u16 e (String.length s);
   bytes e (Bytes.unsafe_of_string s)
 
-let pos e = e.pos
+let pos e = e.pos - e.base
 
 let pad_to e n =
-  if e.pos > n then error "Codec.pad_to: already past %d (at %d)" n e.pos;
-  ensure e (n - e.pos);
-  Bytes.fill e.buf e.pos (n - e.pos) '\000';
-  e.pos <- n
+  let at = pos e in
+  if at > n then error "Codec.pad_to: already past %d (at %d)" n at;
+  ensure e (n - at);
+  Bytes.fill e.buf e.pos (n - at) '\000';
+  e.pos <- e.base + n
 
-let to_bytes e = Bytes.sub e.buf 0 e.pos
+let to_bytes e = Bytes.sub e.buf e.base (pos e)
 
 type decoder = { data : Bytes.t; limit : int; mutable dpos : int }
 

@@ -13,6 +13,17 @@ exception Error of string
 type encoder
 
 val encoder : ?capacity:int -> unit -> encoder
+(** A growable encoder over a fresh buffer. *)
+
+val encoder_into : bytes -> off:int -> len:int -> encoder
+(** An encoder that writes straight into the [len]-byte window of [buf]
+    at [off]: no buffer of its own, never grown.  Fixed-size records
+    (inodes) are encoded in place this way.  {!pos} and {!pad_to} count
+    from the window's start.  A value that fails its range check raises
+    before it is written, but fields written before it stay written.
+    @raise Error if the window lies outside [buf], and on any write that
+    would run past its end. *)
+
 val u8 : encoder -> int -> unit
 val u16 : encoder -> int -> unit
 val u32 : encoder -> int -> unit
@@ -28,11 +39,14 @@ val string_u16 : encoder -> string -> unit
 (** Length-prefixed (u16) string.  @raise Error if longer than 65535. *)
 
 val pos : encoder -> int
+(** Bytes written so far. *)
+
 val pad_to : encoder -> int -> unit
 (** [pad_to e n] appends zero bytes until the encoder holds [n] bytes.
     @raise Error if already longer than [n]. *)
 
 val to_bytes : encoder -> bytes
+(** A copy of the bytes written so far. *)
 
 (** {1 Decoding} *)
 

@@ -233,10 +233,73 @@ let test_usage_block_roundtrip () =
   Alcotest.(check bool) "active persisted as dirty" true
     (Seg_usage.state u' 1 = Seg_usage.Dirty)
 
+let of_hex h =
+  Bytes.init (String.length h / 2) (fun i ->
+      Char.chr (int_of_string ("0x" ^ String.sub h (2 * i) 2)))
+
+(* The on-disk inode, byte for byte, at the boundary values of its
+   fields, written in place into the middle slot of a buffer full of
+   junk: the slot gets the fields then zero padding, and its neighbours
+   keep their bytes. *)
+let test_inode_golden_bytes () =
+  let ino =
+    Inode.create ~inum:0xFFFF_FFFF ~kind:Lfs_vfs.Fs_intf.Directory ~now_us:(-2)
+  in
+  ino.Inode.nlink <- 0xFFFF;
+  ino.Inode.size <- 0x0123_4567_89AB;
+  Array.iteri (fun i _ -> ino.Inode.direct.(i) <- i) ino.Inode.direct;
+  ino.Inode.direct.(0) <- 0xFFFF_FFFF;
+  ino.Inode.direct.(11) <- 0x8000_0000;
+  ino.Inode.indirect <- 0xFFFF_FFFF;
+  ino.Inode.dindirect <- 0x00A0_B0C0;
+  let golden =
+    of_hex
+      ("ffffffff" (* inum *) ^ "02" (* kind: directory *) ^ "ffff" (* nlink *)
+     ^ "ab89674523010000" (* size *) ^ "feffffffffffffff" (* mtime -2 *)
+     ^ "ffffffff" ^ "01000000" ^ "02000000" ^ "03000000" ^ "04000000"
+     ^ "05000000" ^ "06000000" ^ "07000000" ^ "08000000" ^ "09000000"
+     ^ "0a000000" ^ "00000080" (* direct *) ^ "ffffffff" (* indirect *)
+     ^ "c0b0a000" (* dindirect *)
+      ^ String.make (2 * (Layout.inode_bytes - 79)) '0')
+  in
+  let n = Layout.inode_bytes in
+  let buf = Bytes.make (3 * n) '\xAA' in
+  Inode.encode_into ino buf ~off:n;
+  Alcotest.(check bytes) "golden slot" golden (Bytes.sub buf n n);
+  Alcotest.(check bytes) "slot before untouched" (Bytes.make n '\xAA')
+    (Bytes.sub buf 0 n);
+  Alcotest.(check bytes) "slot after untouched" (Bytes.make n '\xAA')
+    (Bytes.sub buf (2 * n) n);
+  Alcotest.(check int) "inum_at" 0xFFFF_FFFF (Inode.inum_at buf ~off:n);
+  (match Inode.decode_at buf ~off:n with
+  | Some d ->
+      Alcotest.(check bool) "decodes back" true
+        (d.Inode.inum = ino.Inode.inum
+        && d.Inode.kind = ino.Inode.kind
+        && d.Inode.nlink = 0xFFFF
+        && d.Inode.size = ino.Inode.size
+        && d.Inode.mtime_us = -2
+        && d.Inode.direct = ino.Inode.direct
+        && d.Inode.indirect = 0xFFFF_FFFF
+        && d.Inode.dindirect = 0x00A0_B0C0)
+  | None -> Alcotest.fail "slot decoded as empty");
+  let rejects what bad ~off =
+    match Inode.encode_into bad (Bytes.make (3 * n) '\000') ~off with
+    | () -> Alcotest.failf "%s: encoded" what
+    | exception Lfs_util.Codec.Error _ -> ()
+  in
+  rejects "inum past u32" { ino with Inode.inum = 0x1_0000_0000 } ~off:0;
+  rejects "nlink past u16" { ino with Inode.nlink = 0x1_0000 } ~off:0;
+  rejects "negative address"
+    { (Inode.copy ino) with Inode.indirect = -1 }
+    ~off:0;
+  rejects "slot past the buffer" ino ~off:((3 * n) - 64)
+
 let suite =
   [
     qcheck prop_inode_roundtrip;
     Alcotest.test_case "inode empty slot" `Quick test_inode_empty_slot;
+    Alcotest.test_case "inode golden bytes" `Quick test_inode_golden_bytes;
     qcheck prop_summary_roundtrip;
     Alcotest.test_case "summary rejects corruption" `Quick
       test_summary_rejects_corruption;

@@ -68,21 +68,37 @@ let test_missed_rotation () =
     (rot - (idle_us mod rot) + Geometry.transfer_us g ~sectors:8)
     late
 
+(* The sectors and service time of one device read. *)
+let disk_read d ~sector ~count =
+  let buf = Bytes.create (count * 512) in
+  let us = Disk.read_into d ~sector ~count buf ~off:0 in
+  (buf, us)
+
 let test_disk_data_roundtrip () =
   let d = Disk.create (geo ()) in
   let data = Bytes.init 1536 (fun i -> Char.chr (i mod 256)) in
   ignore (Disk.write d ~sector:42 data);
-  let got, _ = Disk.read d ~sector:42 ~count:3 in
+  let got, _ = disk_read d ~sector:42 ~count:3 in
   Alcotest.(check bytes) "roundtrip" data got;
   (* Unwritten sectors read as zeros. *)
-  let zeros, _ = Disk.read d ~sector:45 ~count:1 in
-  Alcotest.(check bytes) "zeros" (Bytes.make 512 '\000') zeros
+  let zeros, _ = disk_read d ~sector:45 ~count:1 in
+  Alcotest.(check bytes) "zeros" (Bytes.make 512 '\000') zeros;
+  (* [read_into] lands at [off] and leaves the rest of the buffer alone. *)
+  let buf = Bytes.make 2048 '#' in
+  ignore (Disk.read_into d ~sector:42 ~count:3 buf ~off:512 : int);
+  Alcotest.(check bytes) "at off" data (Bytes.sub buf 512 1536);
+  Alcotest.(check bytes) "prefix kept" (Bytes.make 512 '#') (Bytes.sub buf 0 512)
 
 let test_disk_bounds () =
   let d = Disk.create (geo ()) in
   Alcotest.(check bool) "read oob" true
     (try
-       ignore (Disk.read d ~sector:(-1) ~count:1);
+       ignore (disk_read d ~sector:(-1) ~count:1);
+       false
+     with Invalid_argument _ -> true);
+  Alcotest.(check bool) "read_into short buffer" true
+    (try
+       ignore (Disk.read_into d ~sector:0 ~count:2 (Bytes.create 1023) ~off:0);
        false
      with Invalid_argument _ -> true);
   Alcotest.(check bool) "write misaligned" true
@@ -103,7 +119,7 @@ let test_crash_injection () =
      with Disk.Crash -> true);
   Alcotest.(check bool) "crashed" true (Disk.crashed d);
   Disk.clear_crash d;
-  let got, _ = Disk.read d ~sector:0 ~count:4 in
+  let got, _ = disk_read d ~sector:0 ~count:4 in
   Alcotest.(check bytes) "torn prefix" (Bytes.make 1024 'A') (Bytes.sub got 0 1024);
   Alcotest.(check bytes) "torn tail" (Bytes.make 1024 '\000') (Bytes.sub got 1024 1024);
   (* Writes work again after clear. *)
@@ -126,7 +142,7 @@ let test_snapshot_restore () =
   Disk.snapshot_into d snap ~off:512;
   ignore (Disk.write d ~sector:0 (Bytes.make 512 'B'));
   Disk.restore_from d snap ~off:512;
-  let got, _ = Disk.read d ~sector:0 ~count:1 in
+  let got, _ = disk_read d ~sector:0 ~count:1 in
   Alcotest.(check char) "restored" 'A' (Bytes.get got 0)
 
 let make_io () =

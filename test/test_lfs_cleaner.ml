@@ -118,6 +118,129 @@ let test_unreadable_summary_keeps_segment () =
   Fs.flush_caches fs;
   check_bytes "f5 intact" (pattern ~seed:5 15_000) (read_all fs "/d/f5")
 
+module Layout = Lfs_core.Layout
+module Inode_store = Lfs_core.Inode_store
+
+let remount_lfs fs =
+  let io = Fs.io fs in
+  let config = Fs.config fs in
+  Fs.unmount fs;
+  match Fs.mount ~config io with
+  | Ok fs -> fs
+  | Error e -> Alcotest.failf "remount: %s" e
+
+(* The payload block count a segment's summary records. *)
+let summary_nblocks fs seg =
+  let layout = Fs.layout fs in
+  match
+    Lfs_core.Summary.decode
+      (Io.sync_read (Fs.io fs)
+         ~sector:
+           (Layout.sector_of_block layout (Layout.segment_first_block layout seg))
+         ~count:(layout.Layout.summary_blocks * layout.Layout.block_sectors))
+  with
+  | Some (header, _) -> header.Lfs_core.Summary.nblocks
+  | None -> Alcotest.failf "segment %d: summary does not decode" seg
+
+(* A victim whose payload fails its summary's CRC is not moved: copying
+   it would give a damaged block a fresh, valid CRC in a new segment.
+   The segment still holds live data, so it stays Dirty and nothing is
+   relocated.  Once the byte is repaired, the same call cleans it. *)
+let test_bad_payload_crc_keeps_segment () =
+  let fs = make_lfs ~config:no_autoclean () in
+  let io = Fs.io fs in
+  let layout = Fs.layout fs in
+  let data = pattern ~seed:3 3000 in
+  write_file fs "/f" data;
+  Fs.sync fs;
+  let addr_of_block1 () =
+    Inode_store.bmap_read fs (Lfs_core.Block_file.regular fs "/f") 1
+  in
+  let addr = addr_of_block1 () in
+  let seg = Layout.segment_of_block layout addr in
+  let sector = Layout.sector_of_block layout addr in
+  let good = Io.sync_read io ~sector ~count:layout.Layout.block_sectors in
+  let bad = Bytes.copy good in
+  Bytes.set bad 17 (Char.chr (Char.code (Bytes.get bad 17) lxor 0x40));
+  Io.sync_write io ~sector bad;
+  (* A cached copy of the block would be moved instead of the disk's. *)
+  Fs.flush_caches fs;
+  let moved0 = lfs_counter fs "cleaner_bytes_moved" in
+  Alcotest.(check int) "nothing freed" 0
+    (Lfs_core.Cleaner.clean_exact fs ~victims:[ seg ]);
+  Alcotest.(check bool) "victim still dirty" true
+    (Seg_usage.state fs.Lfs_core.State.usage seg = Seg_usage.Dirty);
+  Alcotest.(check int) "nothing moved" moved0
+    (lfs_counter fs "cleaner_bytes_moved");
+  Alcotest.(check int) "block not relocated" addr (addr_of_block1 ());
+  Io.sync_write io ~sector good;
+  Alcotest.(check int) "repaired victim freed" 1
+    (Lfs_core.Cleaner.clean_exact fs ~victims:[ seg ]);
+  Fs.flush_caches fs;
+  check_bytes "f intact" data (read_all fs "/f")
+
+(* The cleaner reads every victim into one reused buffer.  Victim A holds
+   a sparse file's single-indirect block and its double-indirect top and
+   child; victim B, shorter, is cleaned after A in the same pass and
+   overwrites the buffer.  Whatever the cache kept from A must be a copy:
+   the file reads back intact in the same mount, after a cache flush and
+   after a remount, and the integrity check stays clean. *)
+let test_victim_buffer_reuse () =
+  let fs = make_lfs ~config:no_autoclean () in
+  let layout = Fs.layout fs in
+  let bs = layout.Layout.block_size in
+  let ppb = Layout.ptrs_per_block layout in
+  let blocks =
+    List.map
+      (fun (blkno, seed) -> (blkno * bs, pattern ~seed bs))
+      [
+        (0, 1);
+        (Lfs_core.Inode.ndirect + 5, 2) (* single-indirect range *);
+        (Lfs_core.Inode.ndirect + ppb + 3, 3) (* double-indirect range *);
+      ]
+  in
+  check_ok "create" (Fs.create fs "/sparse");
+  List.iter
+    (fun (off, d) -> check_ok "write" (Fs.write fs "/sparse" ~off d))
+    blocks;
+  Fs.sync fs;
+  let tiny = pattern ~seed:4 100 in
+  write_file fs "/tiny" tiny;
+  Fs.sync fs;
+  let seg_of addr = Layout.segment_of_block layout addr in
+  let e = Lfs_core.Block_file.regular fs "/sparse" in
+  let a = seg_of e.Lfs_core.State.ino.Lfs_core.Inode.indirect in
+  Alcotest.(check bool) "pointer blocks share victim A" true
+    (seg_of e.Lfs_core.State.ino.Lfs_core.Inode.dindirect = a
+    && seg_of (Inode_store.dind_child_addr fs e 0) = a);
+  let b =
+    seg_of
+      (Inode_store.bmap_read fs (Lfs_core.Block_file.regular fs "/tiny") 0)
+  in
+  Alcotest.(check bool) "B is a shorter segment" true
+    (b <> a && summary_nblocks fs b < summary_nblocks fs a);
+  Fs.flush_caches fs;
+  let passes0 = lfs_counter fs "cleaner_passes" in
+  Alcotest.(check int) "both freed" 2
+    (Lfs_core.Cleaner.clean_exact fs ~victims:[ a; b ]);
+  Alcotest.(check int) "in one pass" 1
+    (lfs_counter fs "cleaner_passes" - passes0);
+  let check_all fs what =
+    List.iter
+      (fun (off, d) ->
+        check_bytes
+          (Printf.sprintf "%s: /sparse at %d" what off)
+          d
+          (check_ok "read" (Fs.read fs "/sparse" ~off ~len:bs)))
+      blocks;
+    check_bytes (what ^ ": /tiny") tiny (read_all fs "/tiny");
+    Alcotest.(check (list string)) (what ^ ": integrity") [] (Fs.integrity fs)
+  in
+  check_all fs "same mount";
+  Fs.flush_caches fs;
+  check_all fs "cold cache";
+  check_all (remount_lfs fs) "remounted"
+
 let test_log_wraps () =
   (* Total bytes written far exceed the disk: the log must wrap through
      cleaned segments indefinitely. *)
@@ -259,6 +382,10 @@ let suite =
       test_cleaning_preserves_large_file;
     Alcotest.test_case "unreadable summary keeps segment" `Quick
       test_unreadable_summary_keeps_segment;
+    Alcotest.test_case "bad payload CRC keeps segment" `Quick
+      test_bad_payload_crc_keeps_segment;
+    Alcotest.test_case "victim buffer reuse keeps copies" `Quick
+      test_victim_buffer_reuse;
     Alcotest.test_case "log wraps" `Quick test_log_wraps;
     Alcotest.test_case "greedy picks emptiest" `Quick test_greedy_picks_emptiest;
     Alcotest.test_case "all policies preserve data" `Quick test_policies_all_run;

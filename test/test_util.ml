@@ -276,7 +276,23 @@ let test_codec_pad () =
   Codec.pad_to e 16;
   let b = Codec.to_bytes e in
   Alcotest.(check int) "padded" 16 (Bytes.length b);
-  Alcotest.(check int) "zero fill" 0 (Char.code (Bytes.get b 10))
+  Alcotest.(check int) "zero fill" 0 (Char.code (Bytes.get b 10));
+  (* A window over a caller's buffer: positions count from its start,
+     padding stops at its end, and it never grows. *)
+  let buf = Bytes.make 12 'x' in
+  let w = Codec.encoder_into buf ~off:4 ~len:6 in
+  Codec.u8 w 7;
+  Codec.pad_to w 6;
+  Alcotest.(check int) "window pos" 6 (Codec.pos w);
+  Alcotest.(check string) "window in place" "xxxx\007\000\000\000\000\000xx"
+    (Bytes.to_string buf);
+  Alcotest.(check string) "window to_bytes" "\007\000\000\000\000\000"
+    (Bytes.to_string (Codec.to_bytes w));
+  Alcotest.(check bool) "window never grows" true
+    (try
+       Codec.u8 w 1;
+       false
+     with Codec.Error _ -> true)
 
 let prop_codec_ints =
   QCheck.Test.make ~name:"codec int roundtrips" ~count:500

@@ -2,8 +2,8 @@
    (round-trip and boundary-crossing splits, property-tested on the pure
    [Volume.Map]), the 1-member-volume = plain-disk equivalence that pins
    the [Io] timing path, deterministic snapshot/restore on multi-member
-   stacks, the aggregate device counters, and the mirror degraded-read
-   failover. *)
+   stacks, the aggregate device counters, the mirror degraded-read
+   failover, and the in-place read path on every volume shape. *)
 
 module Clock = Lfs_disk.Clock
 module Cpu_model = Lfs_disk.Cpu_model
@@ -288,6 +288,88 @@ let test_mirror_degraded_read () =
   Alcotest.(check bool) "fault counted under disk.faults.*" true
     (cval io "disk.faults.bad_sector_reads" > 0)
 
+(* ------------------------------------------------------------------ *)
+(* sync_read_into = sync_read                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* [sync_read] is "allocate, then [sync_read_into]": on every volume
+   shape the two must return the same bytes and leave the clock at the
+   same time.  Each case runs twice on identical fresh stacks, once per
+   entry point.  The stripe and log-stripe requests span several member
+   runs (the scatter path); the mirror case fails its preferred replica
+   with a sticky bad sector, so the read fails over. *)
+let test_read_into_matches_read () =
+  let cases =
+    [
+      ( "one member",
+        (Volume.Stripe { chunk_sectors = (geo ()).Geometry.sectors }, 1),
+        700,
+        40 );
+      ("3-member stripe", (Volume.Stripe { chunk_sectors = 16 }, 3), 10, 70);
+      ("log stripe", (Volume.Log_stripe { stripe_sectors = 48 }, 3), 30, 100);
+      ("mirror fail-over", (Volume.Mirror, 2), 5000, 8);
+    ]
+  in
+  List.iter
+    (fun (name, (policy, members), sector, count) ->
+      if policy <> Volume.Mirror && members > 1 then
+        Alcotest.(check bool) (name ^ ": spans runs") true
+          (List.length
+             (Volume.Map.map_read
+                (Volume.Map.create policy ~members (geo ()))
+                ~sector ~count)
+          > 1);
+      let written = Bytes.init (count * 512) (fun i -> Char.chr (i * 7 mod 251)) in
+      let run read =
+        let io =
+          Io.of_volume
+            (Volume.create policy ~members (geo ()))
+            (Clock.create ()) Cpu_model.free
+        in
+        Io.sync_write io ~sector written;
+        let data =
+          if policy = Volume.Mirror then begin
+            (* As in the degraded-read test: park member 0's head so the
+               balanced read prefers member 1, the replica that fails. *)
+            ignore (Io.sync_read io ~sector:20_000 ~count:1);
+            fst
+              (Scenario.with_faults ~member:1 io
+                 [ Scenario.Bad_sectors [ sector ] ]
+                 (fun () -> read io))
+          end
+          else read io
+        in
+        (data, Io.now_us io, cval io "io.degraded_reads")
+      in
+      let plain, plain_us, plain_degraded =
+        run (fun io -> Io.sync_read io ~sector ~count)
+      in
+      (* A reused buffer longer than the request, full of stale bytes:
+         the request fills its prefix and leaves the tail alone. *)
+      let into, into_us, into_degraded =
+        run (fun io ->
+            let buf = Bytes.make ((count + 3) * 512) '#' in
+            Io.sync_read_into io ~sector ~count buf;
+            Alcotest.(check string)
+              (name ^ ": tail untouched")
+              (String.make (3 * 512) '#')
+              (Bytes.sub_string buf (count * 512) (3 * 512));
+            Bytes.sub buf 0 (count * 512))
+      in
+      Alcotest.(check bytes) (name ^ ": the written bytes") written into;
+      Alcotest.(check bytes) (name ^ ": same bytes") plain into;
+      Alcotest.(check int) (name ^ ": same clock") plain_us into_us;
+      Alcotest.(check int)
+        (name ^ ": same fail-overs")
+        plain_degraded into_degraded;
+      if policy = Volume.Mirror then
+        Alcotest.(check bool) (name ^ ": failed over") true (into_degraded > 0))
+    cases;
+  let io = Io.of_geometry (geo ()) (Clock.create ()) Cpu_model.free in
+  Alcotest.check_raises "short buffer"
+    (Invalid_argument "Io.sync_read_into: buffer too short") (fun () ->
+      Io.sync_read_into io ~sector:0 ~count:4 (Bytes.create ((4 * 512) - 1)))
+
 let suite =
   [
     qcheck locate_roundtrip;
@@ -301,4 +383,6 @@ let suite =
       test_disk_counters_are_member_sum;
     Alcotest.test_case "mirror degraded read" `Quick
       test_mirror_degraded_read;
+    Alcotest.test_case "sync_read_into matches sync_read" `Quick
+      test_read_into_matches_read;
   ]

@@ -9,7 +9,7 @@
    rules hold interprocedurally.
 
    Effects tracked (bitmask):
-     DiskIO         a raw Disk.read/Disk.write is reachable
+     DiskIO         a raw Disk.read/read_into/write is reachable
      ClockAdvance   Clock.advance_us/advance_to_us is reachable
      AmbientNondet  Unix.*, Sys.time or the ambient Random.* is reachable
      Stdout         a direct stdout print is reachable
@@ -132,9 +132,10 @@ let is_clock_advance s =
     tails
 
 let is_disk_io s =
-  s = "Disk.read" || s = "Disk.write"
-  || String.ends_with ~suffix:".Disk.read" s
-  || String.ends_with ~suffix:".Disk.write" s
+  let tails = [ "Disk.read"; "Disk.read_into"; "Disk.write" ] in
+  List.exists
+    (fun tail -> s = tail || String.ends_with ~suffix:("." ^ tail) s)
+    tails
 
 let is_nondet s =
   String.starts_with ~prefix:"Unix." s
