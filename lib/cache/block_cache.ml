@@ -28,6 +28,10 @@ type t = {
   dirty_order : entry;  (* sentinel of the dirty list *)
   capacity : int;
   mutable ndirty : int;
+  spares : bytes array;
+      (* buffers of entries that left the cache, [0, nspares) in use:
+         a stack, so {!take} hands back the most recently freed one *)
+  mutable nspares : int;
   c_hits : Metrics.counter;
   c_misses : Metrics.counter;
   c_evictions : Metrics.counter;
@@ -53,6 +57,8 @@ let create ?(capacity_blocks = 4096) ?metrics ?bus clock =
       dirty_order = make_entry Bytes.empty ~dirty:false ~since:0;
       capacity = capacity_blocks;
       ndirty = 0;
+      spares = Array.make capacity_blocks Bytes.empty;
+      nspares = 0;
       c_hits = Metrics.counter metrics "cache.hits";
       c_misses = Metrics.counter metrics "cache.misses";
       c_evictions = Metrics.counter metrics "cache.evictions";
@@ -73,6 +79,7 @@ let emit t mk =
 let capacity_blocks t = t.capacity
 let length t = Lru.length t.entries
 let dirty_count t = t.ndirty
+let spare_count t = t.nspares
 
 let find t key =
   match Lru.find t.entries key with
@@ -88,6 +95,29 @@ let find t key =
       None
 
 let mem t key = Lru.mem t.entries key
+
+(* A buffer whose entry left the cache becomes a spare; past
+   [capacity] spares it is left to the GC. *)
+let recycle t data =
+  if t.nspares < t.capacity then begin
+    t.spares.(t.nspares) <- data;
+    t.nspares <- t.nspares + 1
+  end
+
+let take t len =
+  let n = t.nspares in
+  if n > 0 && Bytes.length t.spares.(n - 1) = len then begin
+    let data = t.spares.(n - 1) in
+    t.spares.(n - 1) <- Bytes.empty;
+    t.nspares <- n - 1;
+    data
+  end
+  else Bytes.create len
+
+let take_zeroed t len =
+  let data = take t len in
+  Bytes.fill data 0 len '\000';
+  data
 
 let dirty t key =
   match Lru.peek t.entries key with Some e -> e.is_dirty | None -> false
@@ -111,6 +141,7 @@ let evict_clean_keeping keep t =
           Metrics.incr t.c_evictions;
           emit t (fun () ->
               Event.Cache_evict { owner = k.owner; blkno = k.blkno });
+          recycle t e.data;
           Lru.Remove
         end)
       t.entries
@@ -136,7 +167,9 @@ let unlink_dirty t e =
 
 let insert t key ~dirty data =
   (match Lru.peek t.entries key with
-  | Some old -> if old.is_dirty then unlink_dirty t old
+  | Some old ->
+      if old.is_dirty then unlink_dirty t old;
+      if old.data != data then recycle t old.data
   | None -> ());
   let e = make_entry data ~dirty:false ~since:(Clock.now_us t.clock) in
   if dirty then link_dirty t e;
@@ -166,7 +199,9 @@ let mark_clean t key =
 let remove t key =
   match Lru.remove t.entries key with
   | None -> ()
-  | Some e -> if e.is_dirty then unlink_dirty t e
+  | Some e ->
+      if e.is_dirty then unlink_dirty t e;
+      recycle t e.data
 
 let fold_dirty f t init =
   Lru.fold_lru
@@ -184,7 +219,12 @@ let over_capacity t = t.ndirty > t.capacity
 
 let drop_clean t =
   Lru.sweep_lru
-    (fun _ e -> if e.is_dirty then Lru.Keep else Lru.Remove)
+    (fun _ e ->
+      if e.is_dirty then Lru.Keep
+      else begin
+        recycle t e.data;
+        Lru.Remove
+      end)
     t.entries
 
 let clear t =

@@ -12,6 +12,16 @@
     bytes directly; callers mutate them in place and then call
     {!mark_dirty}.
 
+    Like the kernel's fixed pool of cache buffers, the cache recycles
+    its buffers.  A buffer handed to {!insert} belongs to the cache.
+    When its entry leaves — a clean eviction, {!remove}, {!drop_clean},
+    or an {!insert} of a different buffer under the same key — the
+    buffer goes on a spare list of at most [capacity_blocks] buffers,
+    and {!take} hands it out again for the next block.  So a buffer
+    returned by {!find} is valid only until the next {!insert},
+    {!remove} or {!drop_clean}: a reference held past one of them may
+    be overwritten with another block's bytes.
+
     Dirty entries are never evicted — the file system must write them back
     (and {!mark_clean} them) first.  [insert] therefore only reclaims clean
     entries; when the cache overflows with dirty data, {!over_capacity}
@@ -47,10 +57,25 @@ val capacity_blocks : t -> int
 val length : t -> int
 val dirty_count : t -> int
 
+val spare_count : t -> int
+(** Buffers on the spare list; never more than [capacity_blocks]. *)
+
 val find : t -> key -> bytes option
 (** Lookup, promoting the entry to most recently used.  The returned bytes
-    are the cache's own buffer: mutate then {!mark_dirty}, and do not hold
-    the reference across an eviction point. *)
+    are the cache's own buffer: mutate then {!mark_dirty} (or re-insert
+    them), and do not hold the reference across an {!insert}, {!remove}
+    or {!drop_clean}, any of which may recycle the buffer. *)
+
+val take : t -> int -> bytes
+(** [take t len] is a buffer of [len] bytes for a block about to be
+    inserted: the most recently recycled spare when it has that length,
+    a fresh [Bytes.create len] otherwise.  Its contents are unspecified,
+    so the caller must overwrite all [len] bytes.  The buffer is the
+    caller's until it is handed to {!insert}; a spare is never the
+    buffer of an entry still in the cache. *)
+
+val take_zeroed : t -> int -> bytes
+(** {!take}, filled with zeros: a new block past a hole or the end. *)
 
 val mem : t -> key -> bool
 val dirty : t -> key -> bool
@@ -63,7 +88,11 @@ val insert : t -> key -> dirty:bool -> bytes -> unit
     The cache keeps [data] itself, not a copy: the caller hands the
     buffer over and must not change it later without re-inserting it or
     calling {!mark_dirty}.  Re-inserting the buffer {!find} returned —
-    after editing it in place, as directory updates do — is allowed.
+    after editing it in place, as directory updates do — is allowed and
+    recycles nothing; inserting a different buffer recycles the one it
+    replaces, and so do the clean evictions the insert makes.  [data]
+    must not be the buffer of another entry, nor one that already left
+    the cache.
     [~dirty:true] restarts the entry's dirty age even if it was already
     dirty; [~dirty:false] makes it clean without counting a
     write-back. *)
@@ -77,7 +106,8 @@ val mark_clean : t -> key -> unit
     segment).  No-op if absent. *)
 
 val remove : t -> key -> unit
-(** Drop an entry regardless of dirtiness (file deletion/truncation). *)
+(** Drop an entry regardless of dirtiness (file deletion/truncation),
+    recycling its buffer. *)
 
 val fold_dirty : (key -> bytes -> 'a -> 'a) -> t -> 'a -> 'a
 (** Fold over dirty entries in least-recently-used-first order, so
@@ -96,7 +126,8 @@ val over_capacity : t -> bool
 
 val drop_clean : t -> unit
 (** Drop every clean entry — the paper's "file cache was flushed" between
-    benchmark phases, without touching unwritten data. *)
+    benchmark phases, without touching unwritten data — recycling their
+    buffers. *)
 
 val clear : t -> unit
 

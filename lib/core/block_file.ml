@@ -14,8 +14,8 @@ include Lfs_vfs.Block_file.Make (struct
   let size (e : file) = e.ino.Inode.size
   let kind (e : file) = e.ino.Inode.kind
   let bmap = Inode_store.bmap_read
-  let read_disk = Block_io.read_disk
-  let fetch = Block_io.fetch
+  let read_disk_into = Block_io.read_disk_into
+  let fetch_into = Block_io.fetch_into
 
   (* Blocks of the segment still being assembled are not on the disk. *)
   let clusterable st addr = not (Block_io.in_active_segment st addr)

@@ -14,18 +14,19 @@ let in_active_segment (st : State.t) addr =
   in
   addr >= payload_first && addr < payload_first + seg.nblocks
 
-let read_disk (st : State.t) addr ~n =
-  Io.sync_read st.io
+let read_disk_into (st : State.t) addr ~n buf =
+  Io.sync_read_into st.io
     ~sector:(Layout.sector_of_block st.layout addr)
     ~count:(n * st.layout.Layout.block_sectors)
+    buf
 
-let fetch (st : State.t) addr =
+let fetch_into (st : State.t) addr buf =
   if in_active_segment st addr then begin
     let first = Layout.segment_first_block st.layout st.seg.seg in
     let bs = st.layout.Layout.block_size in
-    Bytes.sub st.seg.buf ((addr - first) * bs) bs
+    Bytes.blit st.seg.buf ((addr - first) * bs) buf 0 bs
   end
-  else read_disk st addr ~n:1
+  else read_disk_into st addr ~n:1 buf
 
 let read_raw (st : State.t) addr =
   if addr = Layout.null_addr then
@@ -34,6 +35,7 @@ let read_raw (st : State.t) addr =
   match Cache.find st.cache key with
   | Some data -> data
   | None ->
-      let data = fetch st addr in
+      let data = Cache.take st.cache st.layout.Layout.block_size in
+      fetch_into st addr data;
       Cache.insert st.cache key ~dirty:false data;
       data

@@ -17,15 +17,18 @@ val in_active_segment : State.t -> int -> bool
 (** Whether a block address falls inside the segment currently being
     assembled in memory. *)
 
-val read_disk : State.t -> int -> n:int -> bytes
-(** [read_disk st addr ~n]: the [n] blocks at [addr..addr + n - 1] in one
-    disk request. *)
+val read_disk_into : State.t -> int -> n:int -> bytes -> unit
+(** [read_disk_into st addr ~n buf]: the [n] blocks at
+    [addr..addr + n - 1], read into the start of [buf] in one disk
+    request. *)
 
-val fetch : State.t -> int -> bytes
-(** One block, as fresh bytes: copied from the active segment if it is
-    there, read from the disk otherwise.  Does not touch the cache. *)
+val fetch_into : State.t -> int -> bytes -> unit
+(** [fetch_into st addr buf] fills the first block of [buf] with the
+    block at [addr]: copied from the active segment if it is there, read
+    from the disk otherwise.  Does not touch the cache. *)
 
 val read_raw : State.t -> int -> bytes
 (** Read the block at a disk address through the cache, caching it clean
-    under {!key_raw} on a miss.  @raise Invalid_argument on the null
-    address. *)
+    under {!key_raw} in a recycled buffer on a miss.  The result is the
+    cache's buffer, valid until the next cache insert, remove or drop.
+    @raise Invalid_argument on the null address. *)

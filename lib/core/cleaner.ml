@@ -100,7 +100,14 @@ let move_data_block (st : State.t) ~inum ~blkno ~version payload ~off =
    [moved] accumulates the *bytes* of live data being relocated. *)
 let process_entry (st : State.t) ~addr ~payload ~off entry ~moved =
   let bs = st.layout.Layout.block_size in
-  let slice () = Bytes.sub payload off bs in
+  (* Hand a live pointer block we already read to the cache, so loading
+     its map does not re-read the disk.  Only a live one: a dead copy
+     cached under its address would outlive the segment's reuse. *)
+  let cache_pointer_block () =
+    let block = Cache.take st.cache bs in
+    Bytes.blit payload off block 0 bs;
+    Cache.insert st.cache (Block_io.key_raw addr) ~dirty:false block
+  in
   match (entry : Summary.entry) with
   | Summary.Data { inum; blkno; version } ->
       if data_block_live st ~inum ~blkno ~version ~addr then begin
@@ -112,12 +119,9 @@ let process_entry (st : State.t) ~addr ~payload ~off entry ~moved =
         match find_entry st inum with
         | None -> ()
         | Some e ->
-            (* Hand the copy we already read to the cache so loading the
-               map does not re-read the disk. *)
-            Cache.insert st.cache (Block_io.key_raw addr) ~dirty:false
-              (slice ());
             if idx = 0 then begin
               if e.ino.Inode.indirect = addr then begin
+                cache_pointer_block ();
                 Inode_store.cleaner_touch_ind st e;
                 moved := !moved + bs
               end
@@ -125,6 +129,7 @@ let process_entry (st : State.t) ~addr ~payload ~off entry ~moved =
             else begin
               let child = idx - 1 in
               if Inode_store.dind_child_addr st e child = addr then begin
+                cache_pointer_block ();
                 Inode_store.cleaner_touch_dind_child st e child;
                 moved := !moved + bs
               end
@@ -136,8 +141,7 @@ let process_entry (st : State.t) ~addr ~payload ~off entry ~moved =
         | None -> ()
         | Some e ->
             if e.ino.Inode.dindirect = addr then begin
-              Cache.insert st.cache (Block_io.key_raw addr) ~dirty:false
-                (slice ());
+              cache_pointer_block ();
               Inode_store.cleaner_touch_dind_top st e;
               moved := !moved + bs
             end

@@ -19,7 +19,8 @@ let write (st : State.t) (e : State.itable_entry) ~off data =
     let key = Block_io.key_data ~inum ~blkno in
     if chunk = bs then begin
       (* Whole-block overwrite: no read needed. *)
-      let block = Bytes.sub data !pos bs in
+      let block = Cache.take st.cache bs in
+      Bytes.blit data !pos block 0 bs;
       Cache.insert st.cache key ~dirty:true block
     end
     else begin
@@ -28,17 +29,20 @@ let write (st : State.t) (e : State.itable_entry) ~off data =
           Bytes.blit data !pos block in_block chunk;
           Cache.mark_dirty st.cache key
       | None ->
-          (* Read-modify-write; re-insert dirty rather than mutating the
-             cache's buffer, since a full cache may evict a clean block
-             the moment it is inserted. *)
           let addr = Inode_store.bmap_read st e blkno in
-          let block =
-            if addr <> Layout.null_addr then
-              Bytes.copy (Block_file.read_block st e ~blkno ~addr)
-            else Bytes.make bs '\000'
-          in
-          Bytes.blit data !pos block in_block chunk;
-          Cache.insert st.cache key ~dirty:true block
+          if addr <> Layout.null_addr then begin
+            (* Read-modify-write: the fill caches the block clean (an
+               insert never evicts the block it adds), and it is edited
+               and dirtied before the next cache update. *)
+            let block = Block_file.read_block st e ~blkno ~addr in
+            Bytes.blit data !pos block in_block chunk;
+            Cache.mark_dirty st.cache key
+          end
+          else begin
+            let block = Cache.take_zeroed st.cache bs in
+            Bytes.blit data !pos block in_block chunk;
+            Cache.insert st.cache key ~dirty:true block
+          end
     end;
     pos := !pos + chunk
   done;
@@ -81,17 +85,15 @@ let truncate (st : State.t) (e : State.itable_entry) ~size =
               Cache.remove st.cache (Block_io.key_raw child))
             top
       | None ->
-          if e.ino.Inode.dindirect <> Layout.null_addr then begin
-            (* Top map never loaded: fetch it to release the children. *)
-            let block = Block_io.read_raw st e.ino.Inode.dindirect in
+          if e.ino.Inode.dindirect <> Layout.null_addr then
+            (* Top map never loaded: load it to release the children.
+               The loaded map, not the cache's buffer, is read: the
+               removals below may recycle that buffer. *)
             for i = 0 to Layout.ptrs_per_block st.layout - 1 do
-              let child =
-                Int32.to_int (Bytes.get_int32_le block (i * 4)) land 0xFFFFFFFF
-              in
+              let child = Inode_store.dind_child_addr st e i in
               release st child ~bytes:bs;
               Cache.remove st.cache (Block_io.key_raw child)
-            done
-          end);
+            done);
       release st e.ino.Inode.dindirect ~bytes:bs;
       Cache.remove st.cache (Block_io.key_raw e.ino.Inode.dindirect);
       e.ino.Inode.dindirect <- Layout.null_addr;

@@ -70,6 +70,9 @@ type t = {
   mutable victim_buf : bytes;
       (** the cleaner's read buffer for a victim's payload, reused by
           every segment it cleans; empty until the first pass *)
+  ptr_buf : bytes;
+      (** one block in which the write path encodes a pointer block
+          before appending it to the log, which copies it *)
   mutable next_seq : int;  (** sequence number for the next segment write *)
   mutable tail_segment : int;  (** last segment written; -1 if none *)
   mutable imap_block_addr : int array;
@@ -138,6 +141,7 @@ let create io config layout =
         entries_rev = [];
       };
     victim_buf = Bytes.empty;
+    ptr_buf = Bytes.create layout.Layout.block_size;
     next_seq = 1;
     tail_segment = -1;
     imap_block_addr = Array.make layout.Layout.n_imap_blocks Layout.null_addr;

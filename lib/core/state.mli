@@ -62,6 +62,7 @@ type t = {
   itable : (int, itable_entry) Hashtbl.t;
   seg : segbuf;
   mutable victim_buf : bytes;
+  ptr_buf : bytes;
   mutable next_seq : int;
   mutable tail_segment : int;
   mutable imap_block_addr : int array;

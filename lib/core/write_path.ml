@@ -6,8 +6,11 @@ let release (st : State.t) addr ~bytes =
   if addr <> Layout.null_addr then
     Seg_usage.sub_live st.usage (Layout.segment_of_block st.layout addr) ~bytes
 
+(* Encode a pointer map into the mount's pointer-block buffer, which
+   [Segwriter.append] then copies into the segment. *)
 let ptr_block_bytes (st : State.t) ptrs =
-  let b = Bytes.make st.layout.Layout.block_size '\000' in
+  let b = st.ptr_buf in
+  Bytes.fill b 0 (Bytes.length b) '\000';
   Array.iteri (fun i p -> Bytes.set_int32_le b (i * 4) (Int32.of_int p)) ptrs;
   b
 
@@ -104,9 +107,7 @@ let flush_file_data (st : State.t) ~privilege inum blknos =
    already written — into shared inode blocks and point the inode map at
    them. *)
 let flush_inodes (st : State.t) ~privilege dirty =
-  let layout = st.layout in
-  let bs = layout.Layout.block_size in
-  let per_block = Layout.inodes_per_block layout in
+  let per_block = Layout.inodes_per_block st.layout in
   let rec chunks = function
     | [] -> []
     | l ->
@@ -119,7 +120,7 @@ let flush_inodes (st : State.t) ~privilege dirty =
         group :: chunks rest
   in
   let flush_group group =
-    let block = Bytes.make bs '\000' in
+    let block = Cache.take_zeroed st.cache st.layout.Layout.block_size in
     List.iteri
       (fun slot (e : State.itable_entry) ->
         Inode.encode_into e.ino block ~off:(slot * Layout.inode_bytes))
@@ -203,8 +204,7 @@ let flush_file (st : State.t) ~privilege inum =
   | _ :: _, _ -> flush_file_data st ~privilege inum blknos);
   match Inode_store.find_loaded st inum with
   | Some e when e.State.ino_dirty ->
-      let bs = st.layout.Layout.block_size in
-      let block = Bytes.make bs '\000' in
+      let block = Cache.take_zeroed st.cache st.layout.Layout.block_size in
       Inode.encode_into e.ino block ~off:0;
       let addr =
         Segwriter.append st ~privilege ~entry:Summary.Inode_block

@@ -42,27 +42,46 @@ let key_data ~inum ~blkno = { Cache.owner = inum; blkno }
 let key_raw addr = { Cache.owner = owner_raw; blkno = addr }
 let sector_of_block t addr = Layout.sector_of_block t.layout addr
 
-let read_disk t addr ~n =
-  Io.sync_read t.io ~sector:(sector_of_block t addr)
+let read_disk_into t addr ~n buf =
+  Io.sync_read_into t.io ~sector:(sector_of_block t addr)
     ~count:(n * t.layout.Layout.block_sectors)
+    buf
+
+(* A buffer for a block about to be cached, recycled when the cache has
+   a spare; the caller overwrites all of it. *)
+let take t = Cache.take t.cache t.layout.Layout.block_size
 
 (* Raw (by-address) block read through the cache: inode-table blocks and
-   indirect blocks. *)
+   indirect blocks.  The result is the cache's buffer, valid until the
+   next cache insert, remove or drop. *)
 let read_raw t addr =
   if addr = Layout.null_addr then invalid_arg "Ffs.read_raw: null address";
   match Cache.find t.cache (key_raw addr) with
   | Some data -> data
   | None ->
-      let data = read_disk t addr ~n:1 in
+      let data = take t in
+      read_disk_into t addr ~n:1 data;
       Cache.insert t.cache (key_raw addr) ~dirty:false data;
       data
 
+(* A private copy of a cached block, to edit and insert in its place. *)
+let copy_block t src =
+  let block = take t in
+  Bytes.blit src 0 block 0 (Bytes.length block);
+  block
+
 (* Update one inode slot in its fixed table block.  [`Sync] models BSD's
-   synchronous metadata write on create/delete; [`Async] leaves the block
-   dirty for delayed write-back. *)
+   synchronous metadata write on create/delete: the slot is edited in a
+   copy, so a write that fails leaves the cached block as it was.
+   [`Async] edits the cached block in place and leaves it dirty for
+   delayed write-back. *)
 let store_inode t (ino : Inode.t option) ~inum ~mode =
   let addr, slot = Layout.inode_location t.layout inum in
-  let block = Bytes.copy (read_raw t addr) in
+  let block =
+    match mode with
+    | `Sync -> copy_block t (read_raw t addr)
+    | `Async -> read_raw t addr
+  in
   (match ino with
   | Some ino -> Inode.encode_into ino block ~off:(slot * Layout.inode_bytes)
   | None -> Inode.clear_slot block ~off:(slot * Layout.inode_bytes));
@@ -99,7 +118,7 @@ let read_ptr t addr idx =
   Int32.to_int (Bytes.get_int32_le (read_raw t addr) (idx * 4)) land 0xFFFFFFFF
 
 let write_ptr t addr idx v =
-  let block = Bytes.copy (read_raw t addr) in
+  let block = read_raw t addr in
   Bytes.set_int32_le block (idx * 4) (Int32.of_int v);
   Cache.insert t.cache (key_raw addr) ~dirty:true block
 
@@ -161,7 +180,7 @@ let alloc_near t (e : entry) blkno =
 let alloc_meta_block t (e : entry) blkno =
   let addr = alloc_near t e blkno in
   Cache.insert t.cache (key_raw addr) ~dirty:true
-    (Bytes.make t.layout.Layout.block_size '\000');
+    (Cache.take_zeroed t.cache t.layout.Layout.block_size);
   addr
 
 let bmap_alloc t (e : entry) blkno =
@@ -355,6 +374,11 @@ let housekeep t =
 
 let write_dir_block t (e : entry) blk block ~sync_write =
   let inum = e.ino.Inode.inum in
+  (* [block] may be the cache's own buffer.  Mapping a block past the
+     direct pointers reads pointer blocks through the cache, and the
+     evictions that causes may recycle that buffer, so such a block is
+     written from a private copy. *)
+  let block = if blk < Inode.ndirect then block else copy_block t block in
   let addr = bmap_alloc t e blk in
   if sync_write then begin
     trace_sync_write t.io ~what:"directory" ~sector:(sector_of_block t addr)
@@ -386,8 +410,8 @@ module B = Lfs_vfs.Block_file.Make (struct
   let size (e : file) = e.ino.Inode.size
   let kind (e : file) = e.ino.Inode.kind
   let bmap = bmap_read
-  let read_disk = read_disk
-  let fetch t addr = read_disk t addr ~n:1
+  let read_disk_into = read_disk_into
+  let fetch_into t addr buf = read_disk_into t addr ~n:1 buf
   let clusterable _ _ = true
   let write_dir_block t e blk block =
     write_dir_block t e blk block ~sync_write:true
@@ -564,24 +588,32 @@ let write t path ~off data =
            read it back. *)
         let existed = bmap_read t e blkno <> Layout.null_addr in
         let addr = bmap_alloc t e blkno in
-        if chunk = bs then
-          Cache.insert t.cache key ~dirty:true (Bytes.sub data !pos bs)
+        if chunk = bs then begin
+          let block = take t in
+          Bytes.blit data !pos block 0 bs;
+          Cache.insert t.cache key ~dirty:true block
+        end
         else begin
           match Cache.find t.cache key with
           | Some block ->
               Bytes.blit data !pos block in_block chunk;
               Cache.mark_dirty t.cache key
           | None ->
-              let block =
-                (* Read-modify-write whenever the pre-existing block holds
-                   bytes inside the current file size — even when this
-                   write's own offset lies past them. *)
-                if existed && blkno * bs < e.ino.Inode.size then
-                  Bytes.copy (B.read_block t e ~blkno ~addr)
-                else Bytes.make bs '\000'
-              in
-              Bytes.blit data !pos block in_block chunk;
-              Cache.insert t.cache key ~dirty:true block
+              (* Read-modify-write whenever the pre-existing block holds
+                 bytes inside the current file size — even when this
+                 write's own offset lies past them.  The fill caches the
+                 block clean, and it is edited and dirtied before the
+                 next cache update. *)
+              if existed && blkno * bs < e.ino.Inode.size then begin
+                let block = B.read_block t e ~blkno ~addr in
+                Bytes.blit data !pos block in_block chunk;
+                Cache.mark_dirty t.cache key
+              end
+              else begin
+                let block = Cache.take_zeroed t.cache bs in
+                Bytes.blit data !pos block in_block chunk;
+                Cache.insert t.cache key ~dirty:true block
+              end
         end;
         pos := !pos + chunk
       done;

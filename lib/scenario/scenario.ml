@@ -768,8 +768,18 @@ let run_read_fault spec =
     Crashpoint.read_fault_run ?volume:spec.sc_volume ~rate ~burst
       ~seed:spec.sc_seed spec.sc_system ops
   in
-  let oracle ops = verdict spec ops (read_fault ops).Crashpoint.rf_violations in
   let o = read_fault ops in
+  (* A shrunk list reproduces a failure only in the same conditions.
+     As in [run_sweep], a list that cannot run does not; nor, when the
+     full run injected faults, does a list that injects none, which
+     fails only for that. *)
+  let oracle ops =
+    match read_fault ops with
+    | exception Driver.Benchmark_failure _ -> None
+    | o' when o'.Crashpoint.read_errors = 0 && o.Crashpoint.read_errors > 0 ->
+        None
+    | o' -> verdict spec ops o'.Crashpoint.rf_violations
+  in
   let failure =
     counterexample spec ~print:print_crash_op ~oracle ops
       (verdict spec ops o.Crashpoint.rf_violations)

@@ -17,6 +17,11 @@ val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)].
     @raise Invalid_argument if [bound <= 0]. *)
 
+val bytes : t -> int -> bytes
+(** [bytes t len] is [len] fresh bytes, the values of [len] successive
+    [int t 256] calls in order, and leaves [t] where those calls would;
+    it allocates only the result. *)
+
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)
 

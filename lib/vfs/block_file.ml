@@ -20,8 +20,8 @@ module type FS = sig
   val size : file -> int
   val kind : file -> Fs_intf.file_kind
   val bmap : t -> file -> int -> int
-  val read_disk : t -> int -> n:int -> bytes
-  val fetch : t -> int -> bytes
+  val read_disk_into : t -> int -> n:int -> bytes -> unit
+  val fetch_into : t -> int -> bytes -> unit
   val clusterable : t -> int -> bool
   val write_dir_block : t -> file -> int -> bytes -> unit
 end
@@ -50,10 +50,15 @@ module Make (F : FS) = struct
   type t = F.t
   type file = F.file
 
+  (* A buffer for one block about to be cached: a recycled one when the
+     cache has a spare. *)
+  let take t = Cache.take (F.cache t) (F.block_size t)
+
   (* Fetch one block the caller has already missed in the cache, and
      cache it clean. *)
   let fill t ~inum ~blkno ~addr =
-    let data = F.fetch t addr in
+    let data = take t in
+    F.fetch_into t addr data;
     Cache.insert (F.cache t) (key ~inum ~blkno) ~dirty:false data;
     data
 
@@ -73,21 +78,36 @@ module Make (F : FS) = struct
 
   (* Clustered read: [n] physically contiguous blocks (logical blocks
      [first_blkno..] stored at [addr..]) in one disk request, each cached
-     clean.  A one-block run is cached as read, so the caller must only
-     read the returned bytes.  None of the blocks may be cached already:
-     a dirty cached block must never be clobbered with stale disk
-     data. *)
+     clean.  A one-block run is read straight into the buffer it is
+     cached in, so the caller must only read the returned bytes, and only
+     until its next cache update.  A longer run is read into a buffer of
+     its own and each block copied into a buffer of the cache: an insert
+     may evict, and so recycle, an earlier block of the same run, so the
+     run's buffer is what the caller reads.  None of the blocks may be
+     cached already: a dirty cached block must never be clobbered with
+     stale disk data. *)
   let read_run t ~inum ~first_blkno ~addr ~n =
-    let bs = F.block_size t in
-    let data = F.read_disk t addr ~n in
-    if n > 1 then Io.note_clustered_read (F.io t) ~blocks:n;
-    for i = 0 to n - 1 do
-      Cache.insert (F.cache t)
-        (key ~inum ~blkno:(first_blkno + i))
-        ~dirty:false
-        (if n = 1 then data else Bytes.sub data (i * bs) bs)
-    done;
-    data
+    if n = 1 then begin
+      let data = take t in
+      F.read_disk_into t addr ~n:1 data;
+      Cache.insert (F.cache t) (key ~inum ~blkno:first_blkno) ~dirty:false
+        data;
+      data
+    end
+    else begin
+      let bs = F.block_size t in
+      let data = Bytes.create (n * bs) in
+      F.read_disk_into t addr ~n data;
+      Io.note_clustered_read (F.io t) ~blocks:n;
+      for i = 0 to n - 1 do
+        let block = take t in
+        Bytes.blit data (i * bs) block 0 bs;
+        Cache.insert (F.cache t)
+          (key ~inum ~blkno:(first_blkno + i))
+          ~dirty:false block
+      done;
+      data
+    end
 
   (* How many blocks starting at [blkno]/[addr] can go in one request:
      consecutive logical blocks up to [max_blkno] at consecutive
@@ -267,7 +287,9 @@ module Make (F : FS) = struct
     let f = dir t d in
     scan t f name ~n:(nblocks t f) 0
 
-  let empty_block t = Bytes.make (F.block_size t) '\000'
+  (* A zeroed block for a directory to grow into; it is always handed
+     to [F.write_dir_block], which caches it. *)
+  let empty_block t = Cache.take_zeroed (F.cache t) (F.block_size t)
 
   let rec place t f name inum ~n blk =
     if blk >= n then begin

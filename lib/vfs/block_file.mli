@@ -44,13 +44,15 @@ module type FS = sig
   val bmap : t -> file -> int -> int
   (** Address of a logical block, {!null_addr} for a hole. *)
 
-  val read_disk : t -> int -> n:int -> bytes
-  (** [read_disk t addr ~n]: the [n] blocks at [addr..addr + n - 1] in
-      one synchronous device request. *)
+  val read_disk_into : t -> int -> n:int -> bytes -> unit
+  (** [read_disk_into t addr ~n buf] reads the [n] blocks at
+      [addr..addr + n - 1] into the start of [buf] in one synchronous
+      device request. *)
 
-  val fetch : t -> int -> bytes
-  (** One block that missed in the cache, as fresh bytes the caller may
-      keep. *)
+  val fetch_into : t -> int -> bytes -> unit
+  (** [fetch_into t addr buf] fills the first block of [buf] with the
+      block at [addr], which missed in the cache.  [buf] comes from
+      {!Lfs_cache.Block_cache.take}. *)
 
   val clusterable : t -> int -> bool
   (** Whether the block at an address is on the device, so it may be
@@ -72,11 +74,15 @@ module type S = sig
   (** The cache's own buffer for a logical block, fetched and cached
       clean on a miss (one cache lookup either way), or [None] for a
       hole.  Callers may edit it in place and then mark it dirty or
-      re-insert it. *)
+      re-insert it.  Like every buffer {!Lfs_cache.Block_cache.find}
+      returns, it is valid only until the next cache insert, remove or
+      drop. *)
 
   val read_block : t -> file -> blkno:int -> addr:int -> bytes
   (** The block stored at [addr], from the cache or fetched and cached
-      clean.  The result is the cache's buffer: copy before editing. *)
+      clean.  The result is the cache's buffer, valid only until the next
+      cache insert, remove or drop: an edit in place must be followed by
+      {!Lfs_cache.Block_cache.mark_dirty}. *)
 
   val read : t -> file -> off:int -> len:int -> bytes
   (** Read up to [len] bytes at [off] (short at end of file; holes read

@@ -408,17 +408,27 @@ let read_fault_run ?volume ?(rate = 0.08) ?(burst = 1) ?(seed = 11) sys ops =
   in
   let inst = instance_of st in
   let v = ref [] in
-  (try
-     List.iter (fun op -> ignore (Op.apply inst (to_op op))) ops;
-     Driver.flush_caches inst;
-     let files, _ = walk inst in
-     List.iter
-       (fun (p, size) -> ignore (Driver.read inst p ~off:0 ~len:size))
-       files;
-     List.iter
-       (fun i -> v := Printf.sprintf "integrity: %s" i :: !v)
-       (Driver.integrity inst)
-   with e -> v := Printf.sprintf "run failed: %s" (Printexc.to_string e) :: !v);
+  let run_failed e =
+    v := Printf.sprintf "run failed: %s" (Printexc.to_string e) :: !v
+  in
+  (* An op the file system refuses means the list cannot run (a shrunk
+     list can lose the mkdir a later create needs): that is raised, not
+     reported.  A read the retries cannot absorb raises
+     [Io.Read_failed], which is a violation. *)
+  (match List.iter (fun op -> ignore (Op.apply inst (to_op op))) ops with
+  | exception (Driver.Benchmark_failure _ as e) -> raise e
+  | exception e -> run_failed e
+  | () -> (
+      try
+        Driver.flush_caches inst;
+        let files, _ = walk inst in
+        List.iter
+          (fun (p, size) -> ignore (Driver.read inst p ~off:0 ~len:size))
+          files;
+        List.iter
+          (fun i -> v := Printf.sprintf "integrity: %s" i :: !v)
+          (Driver.integrity inst)
+      with e -> run_failed e));
   let read_errors = counter io "disk.faults.read_errors" in
   if Faulty.faults_injected f = 0 then
     v := "no transient read faults were injected" :: !v;

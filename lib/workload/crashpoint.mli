@@ -99,7 +99,10 @@ val read_fault_run :
 (** Run the workload, drop caches, read every file back and verify
     integrity while every read may transiently fail: all faults must be
     absorbed by retry/backoff ([burst] must stay below the retry
-    budget). *)
+    budget).  A read that still fails, and a read-back or integrity
+    failure, is a violation.
+    @raise Driver.Benchmark_failure when the file system refuses an op
+    of [ops]: the list cannot run, as {!sweep}'s probe reports. *)
 
 type bad_sector_outcome = {
   bad_sector_reads : int;

@@ -87,5 +87,4 @@ let observed inst f =
 
 (** Deterministic file contents. *)
 let content ~seed len =
-  let rng = Lfs_util.Rng.create seed in
-  Bytes.init len (fun _ -> Char.chr (Lfs_util.Rng.int rng 256))
+  Lfs_util.Rng.bytes (Lfs_util.Rng.create seed) len

@@ -1,17 +1,18 @@
-(* Host allocation budgets of the small-file path and of segment
-   cleaning.
+(* Host allocation budgets of the small-file path, of cold reads and of
+   segment cleaning.
 
    Allocated words are deterministic for a given build, so they can be
    gated tightly.  Small files: a fixed §5.1-style loop — 2,000 creates
    and writes of ~1 KB files over 20 directories, a sync, a cache flush,
    cold reads, then deletes and a sync — must stay under a
    words-per-file-op budget.  The budget is about 1.5x what the loop
-   costs now (~780 words per op on OCaml 5.1), so the gain from the O(1)
-   write-back age, in-place directory blocks and copy-free block
-   forwarding cannot silently go away: without them the same loop cost
-   ~3,260 words per op, nearly three times the budget.  Cleaning is
-   gated per cleaned segment (below).  Host numbers only: nothing
-   simulated is asserted here. *)
+   costs now (~525 words per op on OCaml 5.1, with the cache recycling
+   its block buffers; ~705 without), so the gain from the O(1)
+   write-back age, in-place directory blocks, copy-free block
+   forwarding and buffer recycling cannot silently go away: without
+   the first three the same loop cost ~3,260 words per op.  Cold reads
+   and cleaning are gated on their own (below).  Host numbers only:
+   nothing simulated is asserted here. *)
 
 open Common
 module Fs = Lfs_core.Fs
@@ -26,7 +27,7 @@ let allocated_words () =
   let _, promoted, major = Gc.counters () in
   Gc.minor_words () +. major -. promoted
 
-let budget_words_per_op = 1_150.
+let budget_words_per_op = 800.
 
 let test_small_file_budget () =
   let fs =
@@ -106,10 +107,54 @@ let test_cleaning_budget () =
     Alcotest.failf "%.0f words per cleaned segment, budget %.0f" per_segment
       budget_words_per_cleaned_segment
 
+(* Host allocation budget of a cold read.  1,200 files of ~1 KB in 20
+   directories on a 256-block cache, so the cache is full and evicting
+   when the reads start; then a sync, a cache flush and one read of each
+   file.  Each read fills the file's data block (and now and then an
+   inode or directory block) into a buffer the cache recycled; a read
+   costs ~470 words on OCaml 5.1 (the result, the path, the request and
+   the cache bookkeeping).  The budget is about 1.5x that, so allocating
+   a fresh 4 KB block per fill again fails it: the loop then cost ~1,010
+   words per read.  Host numbers only. *)
+let cold_files = 1_200
+let budget_words_per_cold_read = 700.
+
+let test_cold_read_budget () =
+  let config =
+    { Lfs_core.Config.default with Lfs_core.Config.cache_blocks = 256 }
+  in
+  let fs = make_lfs ~size_bytes:(40 * 1024 * 1024) ~config () in
+  let dir d = Printf.sprintf "/d%02d" d in
+  for d = 0 to dirs - 1 do
+    check_ok "mkdir" (Fs.mkdir fs (dir d))
+  done;
+  let paths =
+    Array.init cold_files (fun i ->
+        Printf.sprintf "%s/f%04d" (dir (i mod dirs)) i)
+  in
+  let sizes = Array.init cold_files (fun i -> 600 + (i * 97 mod 900)) in
+  Array.iteri
+    (fun i path -> write_file fs path (Bytes.make sizes.(i) 'x'))
+    paths;
+  Fs.sync fs;
+  Fs.flush_caches fs;
+  let before = allocated_words () in
+  Array.iteri
+    (fun i path ->
+      ignore (check_ok "read" (Fs.read fs path ~off:0 ~len:sizes.(i))))
+    paths;
+  let words = allocated_words () -. before in
+  let per_read = words /. float_of_int cold_files in
+  if per_read > budget_words_per_cold_read then
+    Alcotest.failf "%.0f words per cold read, budget %.0f" per_read
+      budget_words_per_cold_read
+
 let suite =
   [
     Alcotest.test_case "small-file loop within allocation budget" `Quick
       test_small_file_budget;
     Alcotest.test_case "cleaning within allocation budget" `Quick
       test_cleaning_budget;
+    Alcotest.test_case "cold reads within allocation budget" `Quick
+      test_cold_read_budget;
   ]

@@ -220,6 +220,116 @@ let prop_dirty_age =
           check ())
         steps)
 
+(* ---------- buffer recycling ---------- *)
+
+let test_take_recycles () =
+  let t, _ = make ~capacity_blocks:2 () in
+  let a = block 'a' and b = block 'b' and c = block 'c' in
+  Alcotest.(check bool) "fresh when no spare" true
+    (Bytes.length (Cache.take t 16) = 16 && Cache.spare_count t = 0);
+  Cache.insert t (key 1 0) ~dirty:false a;
+  Cache.insert t (key 2 0) ~dirty:false b;
+  Cache.insert t (key 3 0) ~dirty:false c;
+  (* [a] was evicted. *)
+  Alcotest.(check int) "one spare" 1 (Cache.spare_count t);
+  Alcotest.(check bool) "evicted buffer" true (Cache.take t 16 == a);
+  Cache.remove t (key 2 0);
+  Alcotest.(check bool) "removed buffer" true (Cache.take t 16 == b);
+  let d = block 'd' in
+  Cache.insert t (key 3 0) ~dirty:true d;
+  Alcotest.(check bool) "replaced buffer" true (Cache.take t 16 == c);
+  (* The directory-update idiom: edit the found buffer, re-insert it. *)
+  (match Cache.find t (key 3 0) with
+  | Some found ->
+      Bytes.set found 0 'e';
+      Cache.insert t (key 3 0) ~dirty:true found
+  | None -> Alcotest.fail "lost");
+  Alcotest.(check int) "re-insert recycles nothing" 0 (Cache.spare_count t);
+  Alcotest.(check bool) "live buffer not handed out" true
+    (Cache.take t 16 != d);
+  Cache.insert t (key 4 0) ~dirty:false a;
+  Cache.drop_clean t;
+  Alcotest.(check int) "drop_clean recycles clean entries only" 1
+    (Cache.spare_count t);
+  Alcotest.(check bool) "a spare of another size is not used" true
+    (Cache.take t 32 != a && Cache.spare_count t = 1);
+  Alcotest.(check bool) "dropped buffer" true (Cache.take t 16 == a)
+
+(* Random cache traffic with every new block taken from the cache, as
+   the file systems do: [take] never hands out the buffer of an entry
+   still cached (clean or dirty), and the spare list never outgrows the
+   capacity. *)
+type rop =
+  | R_insert of int * bool
+  | R_reinsert of int
+  | R_remove of int
+  | R_mark_clean of int
+  | R_drop_clean
+
+let prop_take_never_live =
+  let capacity = 3 in
+  QCheck.Test.make ~name:"take never returns a live buffer" ~count:300
+    QCheck.(
+      make
+        Gen.(
+          list_size (int_range 1 80)
+            (let k = int_bound 6 in
+             frequency
+               [
+                 (5, map2 (fun k d -> R_insert (k, d)) k bool);
+                 (2, map (fun k -> R_reinsert k) k);
+                 (2, map (fun k -> R_remove k) k);
+                 (2, map (fun k -> R_mark_clean k) k);
+                 (1, return R_drop_clean);
+               ])))
+    (fun ops ->
+      let t, _ = make ~capacity_blocks:capacity () in
+      let bufs : (int, bytes) Hashtbl.t = Hashtbl.create 8 in
+      let live b =
+        Hashtbl.fold
+          (fun k b' acc -> acc || (b' == b && Cache.mem t (key k 0)))
+          bufs false
+      in
+      List.for_all
+        (fun op ->
+          let ok =
+            match op with
+            | R_insert (k, dirty) ->
+                let b = Cache.take t 16 in
+                let fresh = not (live b) in
+                Bytes.fill b 0 16 (Char.chr (65 + k));
+                Cache.insert t (key k 0) ~dirty b;
+                Hashtbl.replace bufs k b;
+                fresh
+            | R_reinsert k ->
+                (match Cache.find t (key k 0) with
+                | Some b -> Cache.insert t (key k 0) ~dirty:true b
+                | None -> ());
+                true
+            | R_remove k ->
+                Cache.remove t (key k 0);
+                true
+            | R_mark_clean k ->
+                Cache.mark_clean t (key k 0);
+                true
+            | R_drop_clean ->
+                Cache.drop_clean t;
+                true
+          in
+          (* Every cached block still holds the bytes it was given. *)
+          let intact =
+            Hashtbl.fold
+              (fun k _ acc ->
+                acc
+                &&
+                match Cache.find t (key k 0) with
+                | Some b -> Bytes.get b 0 = Char.chr (65 + k)
+                | None -> true)
+              bufs true
+          in
+          ok && intact && Cache.spare_count t <= capacity)
+        ops)
+
 let suite =
   [
     Alcotest.test_case "insert/find" `Quick test_insert_find;
@@ -234,4 +344,7 @@ let suite =
     Alcotest.test_case "insert never evicts its own key" `Quick
       test_insert_never_evicts_self;
     QCheck_alcotest.to_alcotest prop_dirty_age;
+    Alcotest.test_case "take recycles buffers that left" `Quick
+      test_take_recycles;
+    QCheck_alcotest.to_alcotest prop_take_never_live;
   ]

@@ -241,6 +241,60 @@ let test_victim_buffer_reuse () =
   check_all fs "cold cache";
   check_all (remount_lfs fs) "remounted"
 
+(* The cleaner caches a pointer block it has read only if it is live,
+   and as a copy of what it read.  A dead copy cached under its raw
+   address would outlive its segment: once the segment is reused, a new
+   pointer block written at that address would read back as the stale
+   copy.  The cache's spare buffers hold other files' data when the
+   cleaner runs, so a cached copy that did not overwrite its recycled
+   buffer would map the file to garbage. *)
+let test_cleaner_caches_live_pointer_blocks () =
+  let fs = make_lfs ~config:no_autoclean () in
+  let layout = Fs.layout fs in
+  let bs = layout.Layout.block_size in
+  let off = (Lfs_core.Inode.ndirect + 5) * bs in
+  check_ok "create" (Fs.create fs "/sparse");
+  check_ok "write" (Fs.write fs "/sparse" ~off (pattern ~seed:1 bs));
+  Fs.sync fs;
+  let indirect () =
+    (Lfs_core.Block_file.regular fs "/sparse").Lfs_core.State.ino
+      .Lfs_core.Inode.indirect
+  in
+  let dead = indirect () in
+  (* Rewriting the block rewrites its pointer block elsewhere. *)
+  let data = pattern ~seed:2 bs in
+  check_ok "rewrite" (Fs.write fs "/sparse" ~off data);
+  Fs.sync fs;
+  let live = indirect () in
+  let seg_of = Layout.segment_of_block layout in
+  Alcotest.(check bool) "pointer block moved to another segment" true
+    (seg_of live <> seg_of dead);
+  let fillers = small_config.Config.cache_blocks * 5 / 4 in
+  let filler i = Printf.sprintf "/filler%03d" i in
+  for i = 0 to fillers - 1 do
+    write_file fs (filler i) (pattern ~seed:(100 + i) bs)
+  done;
+  Fs.sync fs;
+  (* Fill the cache with the fillers' blocks, then recycle them all. *)
+  Fs.flush_caches fs;
+  for i = 0 to fillers - 1 do
+    ignore (read_all fs (filler i))
+  done;
+  Fs.flush_caches fs;
+  Alcotest.(check int) "victims freed" 2
+    (Lfs_core.Cleaner.clean_exact fs ~victims:[ seg_of dead; seg_of live ]);
+  Alcotest.(check bool) "dead copy not cached" false
+    (Lfs_cache.Block_cache.mem fs.Lfs_core.State.cache
+       (Lfs_core.Block_io.key_raw dead));
+  let check_all fs what =
+    check_bytes (what ^ ": /sparse") data
+      (check_ok "read" (Fs.read fs "/sparse" ~off ~len:bs));
+    Alcotest.(check (list string)) (what ^ ": integrity") [] (Fs.integrity fs)
+  in
+  check_all fs "same mount";
+  Fs.flush_caches fs;
+  check_all (remount_lfs fs) "remounted"
+
 let test_log_wraps () =
   (* Total bytes written far exceed the disk: the log must wrap through
      cleaned segments indefinitely. *)
@@ -384,6 +438,8 @@ let suite =
       test_unreadable_summary_keeps_segment;
     Alcotest.test_case "bad payload CRC keeps segment" `Quick
       test_bad_payload_crc_keeps_segment;
+    Alcotest.test_case "cleaner caches live pointer blocks only" `Quick
+      test_cleaner_caches_live_pointer_blocks;
     Alcotest.test_case "victim buffer reuse keeps copies" `Quick
       test_victim_buffer_reuse;
     Alcotest.test_case "log wraps" `Quick test_log_wraps;

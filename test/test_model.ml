@@ -22,7 +22,7 @@ let count default =
 (* Operations over a tiny namespace so that collisions, nesting and
    errors all get exercised. *)
 
-let op_gen =
+let op_gen_to ~max_off =
   let open QCheck.Gen in
   let name = oneofl [ "a"; "b"; "c"; "d"; "e" ] in
   let path =
@@ -36,7 +36,7 @@ let op_gen =
       ( 6,
         map4
           (fun path off seed len -> Op.Write { path; off; seed; len })
-          path (int_bound 6000) nat (int_bound 4000) );
+          path (int_bound max_off) nat (int_bound 4000) );
       ( 2,
         map3
           (fun path seed len -> Op.Append { path; seed; len })
@@ -53,6 +53,8 @@ let op_gen =
       (1, pure Op.Sync);
       (1, pure Op.Flush);
     ]
+
+let op_gen = op_gen_to ~max_off:6000
 
 let print_ops ops = String.concat "; " (List.map Op.to_string ops)
 
@@ -154,10 +156,31 @@ end
 module Lfs_run = Run (Lfs_core.Fs)
 module Ffs_run = Run (Lfs_ffs.Fs)
 
-let prop_lfs_model =
-  QCheck.Test.make ~name:"LFS matches reference model" ~count:(count 60)
-    (QCheck.make ~print:print_ops
-       QCheck.Gen.(list_size (int_range 20 120) op_gen))
+(* A 4-block cache: nearly every fill reuses a buffer the cache
+   recycled, so an op that keeps a block buffer past a cache update
+   reads or writes another block's bytes. *)
+let tiny_cache_lfs =
+  { Common.small_config with Lfs_core.Config.cache_blocks = 4 }
+
+let tiny_cache_ffs = { Lfs_ffs.Config.small with Lfs_ffs.Config.cache_blocks = 4 }
+
+let make_ffs config =
+  let io = Common.make_io () in
+  (match Lfs_ffs.Fs.format io config with
+  | Ok () -> ()
+  | Error e -> failwith ("ffs format: " ^ e));
+  match Lfs_ffs.Fs.mount ~config io with
+  | Ok fs -> fs
+  | Error e -> failwith ("ffs mount: " ^ e)
+
+(* Writes reach past the direct blocks (48 KB), so pointer blocks are
+   cached, edited and evicted too. *)
+let deep_ops =
+  QCheck.Gen.(list_size (int_range 20 120) (op_gen_to ~max_off:80_000))
+
+let lfs_model_prop ~name ~count ~config ~ops_gen =
+  QCheck.Test.make ~name ~count
+    (QCheck.make ~print:print_ops ops_gen)
     (fun ops ->
       let structurally_sound fs =
         (match Lfs_core.Check.fsck fs with
@@ -182,14 +205,29 @@ let prop_lfs_model =
           (Lfs_core.Check.usage_drift fs)
       in
       Lfs_run.run ~extra_check:structurally_sound
-        (fun () -> Common.make_lfs ())
+        (fun () -> Common.make_lfs ~config ())
         ops)
+
+let prop_lfs_model =
+  lfs_model_prop ~name:"LFS matches reference model" ~count:(count 60)
+    ~config:Common.small_config
+    ~ops_gen:QCheck.Gen.(list_size (int_range 20 120) op_gen)
+
+let prop_lfs_model_tiny_cache =
+  lfs_model_prop ~name:"LFS matches reference model, 4-block cache"
+    ~count:(count 30) ~config:tiny_cache_lfs ~ops_gen:deep_ops
 
 let prop_ffs_model =
   QCheck.Test.make ~name:"FFS matches reference model" ~count:(count 60)
     (QCheck.make ~print:print_ops
        QCheck.Gen.(list_size (int_range 20 120) op_gen))
     (fun ops -> Ffs_run.run (fun () -> Generic_suite.Ffs_env.make ()) ops)
+
+let prop_ffs_model_tiny_cache =
+  QCheck.Test.make ~name:"FFS matches reference model, 4-block cache"
+    ~count:(count 30)
+    (QCheck.make ~print:print_ops deep_ops)
+    (fun ops -> Ffs_run.run (fun () -> make_ffs tiny_cache_ffs) ops)
 
 (* Crash-recovery property: run operations with periodic checkpoints,
    arm a crash at a random write countdown, keep operating until the
@@ -198,8 +236,8 @@ let prop_ffs_model =
    (2) every file unchanged since the last checkpoint survives with its
        checkpointed content. *)
 
-let prop_lfs_crash_recovery =
-  QCheck.Test.make ~name:"LFS crash recovery invariants" ~count:(count 40)
+let lfs_crash_recovery_prop ~name ~count ~config =
+  QCheck.Test.make ~name ~count
     (QCheck.make
        ~print:(fun (ops, crash_after) ->
          Printf.sprintf "crash_after=%d; %s" crash_after
@@ -207,7 +245,7 @@ let prop_lfs_crash_recovery =
        QCheck.Gen.(
          pair (list_size (int_range 30 100) op_gen) (int_range 1 2000)))
     (fun (ops, crash_after) ->
-      let fs = Common.make_lfs () in
+      let fs = Common.make_lfs ~config () in
       let io = Lfs_core.Fs.io fs in
       let disk = Lfs_disk.Io.member_disk io 0 in
       let model = Model_fs.create () in
@@ -271,7 +309,7 @@ let prop_lfs_crash_recovery =
        with Lfs_disk.Disk.Crash -> crashed := true);
       Lfs_disk.Disk.clear_crash disk;
       let fs2 =
-        match Lfs_core.Fs.mount ~config:Common.small_config io with
+        match Lfs_core.Fs.mount ~config io with
         | Ok fs -> fs
         | Error e -> QCheck.Test.fail_reportf "remount failed: %s" e
       in
@@ -330,9 +368,21 @@ let prop_lfs_crash_recovery =
         !stable;
       true)
 
+let prop_lfs_crash_recovery =
+  lfs_crash_recovery_prop ~name:"LFS crash recovery invariants"
+    ~count:(count 40) ~config:Common.small_config
+
+let prop_lfs_crash_recovery_tiny_cache =
+  lfs_crash_recovery_prop
+    ~name:"LFS crash recovery invariants, 4-block cache" ~count:(count 20)
+    ~config:tiny_cache_lfs
+
 let suite =
   [
     qcheck prop_lfs_model;
     qcheck prop_ffs_model;
     qcheck prop_lfs_crash_recovery;
+    qcheck prop_lfs_model_tiny_cache;
+    qcheck prop_ffs_model_tiny_cache;
+    qcheck prop_lfs_crash_recovery_tiny_cache;
   ]

@@ -130,6 +130,40 @@ let test_shrinker_deterministic () =
         Alcotest.failf "replay line lacks the seed: %s" f1.Scenario.replay
   | _ -> Alcotest.fail "planted invariant did not fail the scenario"
 
+(* A read-back shrink ends on the failure it found.  Each run below
+   fails only the planted invariant; a shrunk list that loses the mkdir
+   a later create needs (seed 10 meets one), or that injects no read
+   fault (seed 5), must not pass for a reproduction of it. *)
+let test_read_back_shrink () =
+  List.iter
+    (fun s ->
+      let spec =
+        Scenario.(
+          make |> read_back
+          |> faults [ Transient { rate = 0.1; burst = 1 } ]
+          |> count 8 |> seed s
+          |> invariant ~name:"planted-empty-root" empty_root)
+      in
+      match (Scenario.run spec).Scenario.failure with
+      | None -> Alcotest.failf "seed %d: planted invariant did not fail" s
+      | Some f ->
+          if not (contains f.Scenario.message "planted-empty-root") then
+            Alcotest.failf "seed %d: shrink ended on %S (steps: %s)" s
+              f.Scenario.message
+              (String.concat " " f.Scenario.steps))
+    [ 5; 6; 7; 8; 10 ];
+  (* Read errors the retries cannot absorb stay a violation. *)
+  let exhausted =
+    Scenario.(
+      make |> read_back
+      |> faults [ Transient { rate = 1.0; burst = 8 } ]
+      |> count 8 |> seed 6 |> run)
+  in
+  match exhausted.Scenario.failure with
+  | Some f when contains f.Scenario.message "Read_failed" -> ()
+  | Some f -> Alcotest.failf "exhausted retries reported as %S" f.Scenario.message
+  | None -> Alcotest.fail "exhausted retries passed"
+
 (* ---------- replay line + validation ---------- *)
 
 let test_replay_line () =
@@ -165,6 +199,8 @@ let suite =
     Alcotest.test_case "engine-mode compilation" `Quick test_engine_mode;
     Alcotest.test_case "planted failure shrinks deterministically" `Quick
       test_shrinker_deterministic;
+    Alcotest.test_case "read-back shrink keeps its failure" `Quick
+      test_read_back_shrink;
     Alcotest.test_case "replay line + mix round-trip" `Quick test_replay_line;
     Alcotest.test_case "invalid specs are rejected" `Quick test_invalid_spec;
   ]

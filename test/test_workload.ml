@@ -94,8 +94,61 @@ let test_hotcold_policies () =
   Alcotest.(check bool) "both produce costs >= 1" true
     (greedy.W.Hotcold.write_cost >= 1.0 && cb.W.Hotcold.write_cost >= 1.0)
 
+(* File contents are part of every trace replay and image, so the byte
+   stream is pinned: (seed, length, first bytes, MD5 of the whole, the
+   next [Rng.int g 1_000_000] of a generator that drew the same bytes one
+   [Rng.int g 256] at a time).  The values come from the per-byte
+   [Rng.int] formulation the contents were first defined by. *)
+let content_golden =
+  [
+    (0, 0, "", "d41d8cd98f00b204e9800998ecf8427e", 303767);
+    (0, 1, "d7", "7c0b8029c8bcebe338b92ceb504f912a", 177850);
+    (1, 7, "6033af85dc4052", "c450dc3142572fe9593a8242013fa399", 30266);
+    (7, 1024, "eb0e01e5ed087b7f", "fad6077c0df4c453495a03684580a954", 307385);
+    (42, 4096, "4a81a9caf983aed2", "6b953d4ce62f5b21947c8849403b60df", 701803);
+    ( 1_000_003, 1500, "92dc2588e788c6bc", "3155fa125244d0ff60ee716d93960e4b",
+      985888 );
+    (-3, 333, "ee80ce852fb31f57", "dfcddd812e3d003575f4a43401170312", 465736);
+  ]
+
+let test_content_golden () =
+  let module Rng = Lfs_util.Rng in
+  List.iter
+    (fun (seed, len, prefix, md5, next) ->
+      let name = Printf.sprintf "seed %d len %d" seed len in
+      let b = W.Driver.content ~seed len in
+      Alcotest.(check int) (name ^ " length") len (Bytes.length b);
+      let hex =
+        String.concat ""
+          (List.init (min 8 len) (fun i ->
+               Printf.sprintf "%02x" (Char.code (Bytes.get b i))))
+      in
+      Alcotest.(check string) (name ^ " first bytes") prefix hex;
+      Alcotest.(check string) (name ^ " md5") md5
+        (Digest.to_hex (Digest.bytes b));
+      (* The bulk draw gives the per-byte draws' bytes and leaves the
+         generator where they do. *)
+      let per_byte =
+        let r = Rng.create seed in
+        Bytes.init len (fun _ -> Char.chr (Rng.int r 256))
+      in
+      let g = Rng.create seed in
+      Alcotest.(check bool) (name ^ " = per-byte draws") true
+        (Bytes.equal (Rng.bytes g len) per_byte);
+      Alcotest.(check int) (name ^ " generator state") next
+        (Rng.int g 1_000_000))
+    content_golden;
+  (* Only the result is allocated: 1 KB is 129 words plus the generator;
+     one boxed [int64] per byte was ~6,300 words. *)
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (W.Driver.content ~seed:5 1024));
+  let words = Gc.minor_words () -. before in
+  if words > 300. then
+    Alcotest.failf "content of 1 KB allocated %.0f words (budget 300)" words
+
 let suite =
   [
+    Alcotest.test_case "content golden bytes" `Quick test_content_golden;
     Alcotest.test_case "fig1/2 shapes" `Quick test_creation_trace_shapes;
     Alcotest.test_case "fig3 shapes" `Quick test_smallfile_shapes;
     Alcotest.test_case "fig4 shapes" `Slow test_largefile_shapes;
