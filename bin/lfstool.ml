@@ -208,8 +208,8 @@ let cmd_df image =
     (Lfs_util.Table.fmt_bytes s.Fs.cleanable_bytes)
 
 (* A small fsck: walk the namespace, read every file completely, then run
-   the deep structural pass (double references, wild addresses, orphans)
-   and the segment-usage drift check. *)
+   the always-on sanitizer ([Fs.integrity]: the deep structural pass and
+   the segment-usage drift check). *)
 let cmd_fsck image json =
   let fs = mount_image image in
   let files = ref 0 and dirs = ref 0 and bytes = ref 0 in
@@ -244,22 +244,7 @@ let cmd_fsck image json =
           names
   in
   walk "/";
-  List.iter
-    (fun issue ->
-      problem "%s" (Format.asprintf "%a" Lfs_core.Check.pp_issue issue))
-    (Lfs_core.Check.fsck fs);
-  (* Segment-usage accounting vs ground truth.  Small drift is expected
-     (the usage array cannot count its own blocks exactly while they are
-     being rewritten); the tolerance matches the always-on sanitizer. *)
-  let layout = Fs.layout fs in
-  let tolerance = 2 * layout.Lfs_core.Layout.block_size in
-  let drift = Lfs_core.Check.usage_drift fs in
-  List.iter
-    (fun (seg, recorded, recomputed) ->
-      if abs (recorded - recomputed) > tolerance then
-        problem "segment %d usage drift: recorded %d live bytes, recomputed %d"
-          seg recorded recomputed)
-    drift;
+  List.iter (problem "%s") (Fs.integrity fs);
   let problems = List.rev !problems in
   if json then begin
     let module J = Lfs_obs.Json in
@@ -272,6 +257,8 @@ let cmd_fsck image json =
               ("files", J.Int !files);
               ("bytes", J.Int !bytes);
               ("problems", J.List (List.map (fun s -> J.String s) problems));
+              (* Unfiltered: [integrity] reported the drift past the
+                 sanitizer's tolerance. *)
               ( "usage_drift",
                 J.List
                   (List.map
@@ -282,7 +269,7 @@ let cmd_fsck image json =
                            ("recorded", J.Int recorded);
                            ("recomputed", J.Int recomputed);
                          ])
-                     drift) );
+                     (Lfs_core.Check.usage_drift fs)) );
               ("clean", J.Bool (problems = []));
             ]))
   end

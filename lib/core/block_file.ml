@@ -31,4 +31,14 @@ include Lfs_vfs.Block_file.Make (struct
       e.ino.Inode.size <- (blkidx + 1) * bs;
     e.ino.Inode.mtime_us <- Lfs_disk.Io.now_us st.io;
     Inode_store.mark_dirty e
+
+  let max_files (st : t) = Imap.max_files st.imap
+  let allocated (st : t) inum = Imap.is_allocated st.imap inum
+  let nlink (e : file) = e.ino.Inode.nlink
+  let indirect (e : file) = e.ino.Inode.indirect
+  let dindirect (e : file) = e.ino.Inode.dindirect
+  let ptrs_per_block (st : t) = Layout.ptrs_per_block st.layout
+  let dind_child = Inode_store.dind_child_addr
+
+  let data_address (st : t) addr = Layout.in_segment_area st.layout addr
 end)

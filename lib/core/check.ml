@@ -1,40 +1,24 @@
-(* An allocated inode that does not load — its inode-map entry is stale
-   or its inode block clobbered — is reported by [fsck], not fatal. *)
-let load (st : State.t) inum =
-  match Inode_store.find st inum with
-  | e -> Ok e
-  | exception Lfs_vfs.Errors.Error e -> Error (Lfs_vfs.Errors.to_string e)
-  | exception Lfs_util.Codec.Error reason -> Error reason
-
 let recompute_usage (st : State.t) =
   let layout = st.layout in
   let bs = layout.Layout.block_size in
   let live = Array.make layout.Layout.nsegments 0 in
+  (* A wild address is [fsck]'s to report. *)
   let add addr bytes =
-    if addr <> Layout.null_addr then begin
+    if Layout.in_segment_area layout addr then begin
       let seg = Layout.segment_of_block layout addr in
       live.(seg) <- live.(seg) + bytes
     end
   in
+  let add_block _role _index addr = add addr bs in
   for inum = 1 to Imap.max_files st.imap - 1 do
     if Imap.is_allocated st.imap inum then begin
       (match Imap.location st.imap inum with
       | Some (addr, _slot) -> add addr Layout.inode_bytes
       | None -> ());
-      match load st inum with
+      (* An inode that does not load is [fsck]'s to report too. *)
+      match Block_file.load st inum with
       | Error _ -> ()
-      | Ok e ->
-          let nblocks = Inode.nblocks ~block_size:bs e.State.ino in
-          for blkno = 0 to nblocks - 1 do
-            add (Inode_store.bmap_read st e blkno) bs
-          done;
-          add e.State.ino.Inode.indirect bs;
-          if e.State.ino.Inode.dindirect <> Layout.null_addr then begin
-            add e.State.ino.Inode.dindirect bs;
-            for child = 0 to Layout.ptrs_per_block layout - 1 do
-              add (Inode_store.dind_child_addr st e child) bs
-            done
-          end
+      | Ok e -> Block_file.iter_blocks st e add_block
     end
   done;
   Array.iter (fun addr -> add addr bs) st.imap_block_addr;
@@ -50,77 +34,10 @@ let usage_drift (st : State.t) =
   done;
   !drift
 
-type issue =
-  | Double_reference of { addr : int; owners : string list }
-  | Bad_dir_entry of { dir : int; name : string; inum : int }
-  | Bad_nlink of { inum : int; nlink : int; entries : int }
-  | Orphan_inode of { inum : int }
-  | Unreadable of { inum : int; reason : string }
-  | Address_out_of_range of { owner : string; addr : int }
-
-let pp_issue ppf = function
-  | Double_reference { addr; owners } ->
-      Format.fprintf ppf "block %d referenced by: %s" addr
-        (String.concat ", " owners)
-  | Bad_dir_entry { dir; name; inum } ->
-      Format.fprintf ppf "directory %d entry %S points at unallocated inum %d"
-        dir name inum
-  | Bad_nlink { inum; nlink; entries } ->
-      Format.fprintf ppf "inum %d: nlink %d but %d directory entries" inum
-        nlink entries
-  | Orphan_inode { inum } ->
-      Format.fprintf ppf "inum %d allocated but unreachable" inum
-  | Unreadable { inum; reason } ->
-      Format.fprintf ppf "inum %d unreadable: %s" inum reason
-  | Address_out_of_range { owner; addr } ->
-      Format.fprintf ppf "%s references out-of-range address %d" owner addr
-
-let fsck (st : State.t) =
-  let layout = st.layout in
-  let bs = layout.Layout.block_size in
-  let issues = ref [] in
-  let report i = issues := i :: !issues in
-  (* Block-reference map: every live block must have exactly one owner.
-     The active in-memory segment is excluded: its blocks are not yet on
-     disk. *)
-  let owners : (int, string list) Hashtbl.t = Hashtbl.create 1024 in
-  let reference ~owner addr =
-    if addr <> Layout.null_addr then begin
-      if
-        addr < layout.Layout.first_segment_block
-        || addr >= layout.Layout.total_blocks
-      then report (Address_out_of_range { owner; addr })
-      else begin
-        let prev = Option.value ~default:[] (Hashtbl.find_opt owners addr) in
-        Hashtbl.replace owners addr (owner :: prev)
-      end
-    end
-  in
-  (* Walk every allocated inode's pointers. *)
-  for inum = 1 to Imap.max_files st.imap - 1 do
-    if Imap.is_allocated st.imap inum then begin
-      match load st inum with
-      | Error reason -> report (Unreadable { inum; reason })
-      | Ok e ->
-          let tag kind = Printf.sprintf "inum %d %s" inum kind in
-          let nblocks = Inode.nblocks ~block_size:bs e.State.ino in
-          for blkno = 0 to nblocks - 1 do
-            reference ~owner:(tag (Printf.sprintf "block %d" blkno))
-              (Inode_store.bmap_read st e blkno)
-          done;
-          reference ~owner:(tag "indirect") e.State.ino.Inode.indirect;
-          if e.State.ino.Inode.dindirect <> Layout.null_addr then begin
-            reference ~owner:(tag "dindirect") e.State.ino.Inode.dindirect;
-            for child = 0 to Layout.ptrs_per_block layout - 1 do
-              reference
-                ~owner:(tag (Printf.sprintf "dind child %d" child))
-                (Inode_store.dind_child_addr st e child)
-            done
-          end
-    end
-  done;
-  (* Inode blocks may be shared by many inodes (one reference per block is
-     enough); metadata blocks are single-owner. *)
+(* LFS's own owners, besides its files' blocks: the inode blocks (one
+   holds many inodes, so each is entered once), the inode-map blocks and
+   the usage-array blocks. *)
+let metadata_owners (st : State.t) reference =
   let inode_blocks = Hashtbl.create 64 in
   for inum = 1 to Imap.max_files st.imap - 1 do
     if Imap.is_allocated st.imap inum then
@@ -137,49 +54,10 @@ let fsck (st : State.t) =
     st.imap_block_addr;
   Array.iteri
     (fun idx addr -> reference ~owner:(Printf.sprintf "usage block %d" idx) addr)
-    st.usage_block_addr;
-  Hashtbl.iter
-    (fun addr os ->
-      if List.length os > 1 then report (Double_reference { addr; owners = os }))
-    owners;
-  (* Namespace walk: every entry must resolve, every allocated inode must
-     be referenced exactly once. *)
-  let links = Hashtbl.create 256 in
-  let rec walk dir =
-    List.iter
-      (fun (name, inum) ->
-        if
-          inum <= 0
-          || inum >= Imap.max_files st.imap
-          || not (Imap.is_allocated st.imap inum)
-        then report (Bad_dir_entry { dir; name; inum })
-        else begin
-          Hashtbl.replace links inum
-            (1 + Option.value ~default:0 (Hashtbl.find_opt links inum));
-          match load st inum with
-          | Error reason -> report (Unreadable { inum; reason })
-          | Ok e ->
-              if e.State.ino.Inode.kind = Lfs_vfs.Fs_intf.Directory then
-                walk inum
-        end)
-      (Block_file.entries st ~dir)
-  in
-  Hashtbl.replace links State.root_inum 1;
-  walk State.root_inum;
-  Hashtbl.iter
-    (fun inum count ->
-      match load st inum with
-      | Ok e ->
-          if e.State.ino.Inode.nlink <> count then
-            report
-              (Bad_nlink { inum; nlink = e.State.ino.Inode.nlink; entries = count })
-      | Error _ -> ())
-    links;
-  for inum = 1 to Imap.max_files st.imap - 1 do
-    if Imap.is_allocated st.imap inum && not (Hashtbl.mem links inum) then
-      report (Orphan_inode { inum })
-  done;
-  List.rev !issues
+    st.usage_block_addr
+
+let fsck (st : State.t) =
+  Block_file.fsck ~extra_owners:(metadata_owners st) st
 
 (* --- Checkpoint/recovery cross-validation ---------------------------- *)
 

@@ -4,7 +4,8 @@
     The segment-usage array is maintained incrementally; these functions
     recompute it from ground truth — the inode map, every live inode's
     block pointers, and the metadata block addresses — so tests can catch
-    any accounting drift at its source. *)
+    any accounting drift at its source.  Files' blocks are enumerated by
+    the walk the checker uses ({!Lfs_vfs.Block_file.S.iter_blocks}). *)
 
 val recompute_usage : State.t -> int array
 (** Live bytes per segment implied by the reachable state.  Counts, per
@@ -17,26 +18,11 @@ val usage_drift : State.t -> (int * int * int) list
 (** [(segment, recorded, recomputed)] for every segment where the
     incremental estimate differs from ground truth. *)
 
-type issue =
-  | Double_reference of { addr : int; owners : string list }
-      (** one disk block claimed live by two different structures *)
-  | Bad_dir_entry of { dir : int; name : string; inum : int }
-      (** directory entry pointing at an unallocated inode *)
-  | Bad_nlink of { inum : int; nlink : int; entries : int }
-      (** an inode whose link count disagrees with its directory
-          entries *)
-  | Orphan_inode of { inum : int }
-      (** allocated inode with no directory entry *)
-  | Unreadable of { inum : int; reason : string }
-  | Address_out_of_range of { owner : string; addr : int }
-
-val pp_issue : Format.formatter -> issue -> unit
-
-val fsck : State.t -> issue list
-(** Full structural verification: walk the namespace from the root,
-    cross-check it against the inode map, and walk every live block
-    pointer checking for double references and wild addresses.  An empty
-    list means the file system is structurally sound. *)
+val fsck : State.t -> Lfs_vfs.Issue.t list
+(** Full structural verification: the checker both systems share
+    ({!Lfs_vfs.Block_file.S.fsck}) with LFS's inode, inode-map and
+    usage-array blocks entered as owners besides every file's blocks.
+    An empty list means the file system is structurally sound. *)
 
 val recovery_divergence :
   expected:State.t -> recovered:State.t -> string list

@@ -297,9 +297,7 @@ let space (st : t) =
 let drift_tolerance (st : t) = 2 * st.layout.Layout.block_size
 
 let integrity (st : t) =
-  let structural =
-    List.map (Format.asprintf "%a" Check.pp_issue) (Check.fsck st)
-  in
+  let structural = List.map Lfs_vfs.Issue.to_string (Check.fsck st) in
   let tolerance = drift_tolerance st in
   let drift =
     List.filter_map

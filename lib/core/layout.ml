@@ -113,6 +113,10 @@ let compute (config : Config.t) geometry =
 
 let sector_of_block t addr = addr * t.block_sectors
 
+let in_segment_area t addr =
+  addr >= t.first_segment_block
+  && addr < t.first_segment_block + (t.nsegments * t.seg_blocks)
+
 let segment_of_block t addr =
   if addr < t.first_segment_block then
     invalid_arg "Layout.segment_of_block: block before segment area";

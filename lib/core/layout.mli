@@ -50,6 +50,9 @@ val compute : Config.t -> Lfs_disk.Geometry.t -> (t, string) result
 val null_addr : int
 
 val sector_of_block : t -> int -> int
+val in_segment_area : t -> int -> bool
+(** Whether a block lies in some segment. *)
+
 val segment_of_block : t -> int -> int
 (** Segment index containing a block.  @raise Invalid_argument for blocks
     outside the segment area. *)

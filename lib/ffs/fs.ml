@@ -394,6 +394,15 @@ let write_dir_block t (e : entry) blk block ~sync_write =
   e.ino.Inode.mtime_us <- Io.now_us t.io;
   e.dirty <- true
 
+(* Where a file's data and pointer blocks may lie: on the disk, past the
+   superblock and past their cylinder group's bitmaps and inode table.
+   [fsck] reports any other address; [repair] clears it. *)
+let data_address t addr =
+  let l = t.layout in
+  addr >= 1
+  && addr < l.Layout.total_blocks
+  && addr >= Layout.group_data_first l (Layout.group_of_block l addr)
+
 module B = Lfs_vfs.Block_file.Make (struct
   type nonrec t = t
   type file = entry
@@ -415,6 +424,15 @@ module B = Lfs_vfs.Block_file.Make (struct
   let clusterable _ _ = true
   let write_dir_block t e blk block =
     write_dir_block t e blk block ~sync_write:true
+
+  let max_files t = t.layout.Layout.max_files
+  let allocated t inum = Alloc.inode_allocated t.alloc inum
+  let nlink (e : file) = e.ino.Inode.nlink
+  let indirect (e : file) = e.ino.Inode.indirect
+  let dindirect (e : file) = e.ino.Inode.dindirect
+  let ptrs_per_block t = Layout.ptrs_per_block t.layout
+  let dind_child t (e : file) child = read_ptr t e.ino.Inode.dindirect child
+  let data_address = data_address
 end)
 
 (* Namespace operations *)
@@ -804,163 +822,37 @@ let mount ?(config = Config.default) io =
 
 (* --- Structural verification ------------------------------------------ *)
 
-(* The FFS counterpart of Lfs_core.Check: cylinder-group bitmaps vs the
-   blocks actually reachable from allocated inodes, plus the same
-   namespace/nlink/orphan audit LFS gets.  Runs on the live (cache-
-   coherent) state, so it sees unwritten changes too. *)
-
-type issue =
-  | Double_reference of { addr : int; owners : string list }
-  | Leaked_block of { addr : int }
-  | Lost_block of { owner : string; addr : int }
-  | Bad_dir_entry of { dir : int; name : string; inum : int }
-  | Bad_nlink of { inum : int; nlink : int; entries : int }
-  | Orphan_inode of { inum : int }
-  | Unreadable of { inum : int; reason : string }
-  | Address_out_of_range of { owner : string; addr : int }
-
-let pp_issue ppf = function
-  | Double_reference { addr; owners } ->
-      Format.fprintf ppf "block %d referenced by: %s" addr
-        (String.concat ", " owners)
-  | Leaked_block { addr } ->
-      Format.fprintf ppf
-        "block %d marked used in its group bitmap but referenced by nothing"
-        addr
-  | Lost_block { owner; addr } ->
-      Format.fprintf ppf "%s claims block %d, which the group bitmap says is free"
-        owner addr
-  | Bad_dir_entry { dir; name; inum } ->
-      Format.fprintf ppf "directory %d entry %S points at unallocated inum %d"
-        dir name inum
-  | Bad_nlink { inum; nlink; entries } ->
-      Format.fprintf ppf "inum %d: nlink %d but %d directory entries" inum
-        nlink entries
-  | Orphan_inode { inum } ->
-      Format.fprintf ppf "inum %d allocated but unreachable" inum
-  | Unreadable { inum; reason } ->
-      Format.fprintf ppf "inum %d unreadable: %s" inum reason
-  | Address_out_of_range { owner; addr } ->
-      Format.fprintf ppf "%s references out-of-range address %d" owner addr
-
-let meta_blocks_per_group (l : Layout.t) =
-  l.Layout.bb_blocks + l.Layout.ib_blocks + l.Layout.it_blocks
-
-let fsck t =
+(* The shared checker ([Block_file.S.fsck]) on the live (cache-coherent)
+   state, so it sees unwritten changes too, plus the one check only FFS
+   has: the cylinder-group bitmaps against the block-ownership map.
+   Metadata blocks are permanently allocated; a data block is allocated
+   iff something references it. *)
+let cross_check_bitmaps t owner report =
   let l = t.layout in
-  let bs = l.Layout.block_size in
-  let issues = ref [] in
-  let report i = issues := i :: !issues in
-  let data_first g = Layout.group_first_block l g + meta_blocks_per_group l in
-  (* Block-reference map: every reachable data/pointer block must have
-     exactly one owner, and must not alias the superblock or a group's
-     bitmap/inode-table region. *)
-  let owners : (int, string list) Hashtbl.t = Hashtbl.create 1024 in
-  let reference ~owner addr =
-    if addr <> Layout.null_addr then begin
-      if
-        addr < 1
-        || addr >= l.Layout.total_blocks
-        || addr < data_first (Layout.group_of_block l addr)
-      then report (Address_out_of_range { owner; addr })
-      else begin
-        let prev = Option.value ~default:[] (Hashtbl.find_opt owners addr) in
-        Hashtbl.replace owners addr (owner :: prev)
-      end
-    end
-  in
-  for inum = 1 to l.Layout.max_files - 1 do
-    if Alloc.inode_allocated t.alloc inum then begin
-      match get_entry t inum with
-      | exception Errors.Error e ->
-          report (Unreadable { inum; reason = Errors.to_string e })
-      | exception Failure reason -> report (Unreadable { inum; reason })
-      | e ->
-          let tag kind = Printf.sprintf "inum %d %s" inum kind in
-          let nblocks = Inode.nblocks ~block_size:bs e.ino in
-          for blkno = 0 to nblocks - 1 do
-            reference
-              ~owner:(tag (Printf.sprintf "block %d" blkno))
-              (bmap_read t e blkno)
-          done;
-          reference ~owner:(tag "indirect") e.ino.Inode.indirect;
-          if e.ino.Inode.dindirect <> Layout.null_addr then begin
-            reference ~owner:(tag "dindirect") e.ino.Inode.dindirect;
-            for child = 0 to Layout.ptrs_per_block l - 1 do
-              reference
-                ~owner:(tag (Printf.sprintf "dind child %d" child))
-                (read_ptr t e.ino.Inode.dindirect child)
-            done
-          end
-    end
-  done;
-  Hashtbl.iter
-    (fun addr os ->
-      if List.length os > 1 then report (Double_reference { addr; owners = os }))
-    owners;
-  (* Cylinder-group bitmap cross-check: metadata blocks are permanently
-     allocated; a data block is allocated iff something references it. *)
   for g = 0 to l.Layout.ngroups - 1 do
     let first = Layout.group_first_block l g in
-    let dfirst = data_first g in
+    let dfirst = Layout.group_data_first l g in
     let last = min (first + l.Layout.group_blocks) l.Layout.total_blocks - 1 in
     for addr = first to last do
       let in_bitmap = Alloc.block_allocated t.alloc addr in
       if addr < dfirst then begin
         if not in_bitmap then
           report
-            (Lost_block { owner = Printf.sprintf "group %d metadata" g; addr })
+            (Lfs_vfs.Issue.Lost_block
+               { owner = Printf.sprintf "group %d metadata" g; addr })
       end
       else
-        match Hashtbl.find_opt owners addr with
-        | Some os ->
+        match owner addr with
+        | Some o ->
             if not in_bitmap then
-              report (Lost_block { owner = List.hd os; addr })
-        | None -> if in_bitmap then report (Leaked_block { addr })
+              report (Lfs_vfs.Issue.Lost_block { owner = o; addr })
+        | None -> if in_bitmap then report (Lfs_vfs.Issue.Leaked_block { addr })
     done
-  done;
-  (* Namespace walk: every entry resolves to an allocated inode; link
-     counts match; every allocated inode is reachable.  The visited
-     guard keeps the walk finite even on a corrupted (cyclic) tree. *)
-  let links = Hashtbl.create 256 in
-  let rec walk dir =
-    List.iter
-      (fun (name, inum) ->
-        if
-          inum <= 0
-          || inum >= l.Layout.max_files
-          || not (Alloc.inode_allocated t.alloc inum)
-        then report (Bad_dir_entry { dir; name; inum })
-        else begin
-          let first_visit = not (Hashtbl.mem links inum) in
-          Hashtbl.replace links inum
-            (1 + Option.value ~default:0 (Hashtbl.find_opt links inum));
-          match get_entry t inum with
-          | exception Errors.Error e ->
-              report (Unreadable { inum; reason = Errors.to_string e })
-          | e ->
-              if e.ino.Inode.kind = Fs_intf.Directory && first_visit then
-                walk inum
-        end)
-      (B.entries t ~dir)
-  in
-  Hashtbl.replace links t.root 1;
-  walk t.root;
-  Hashtbl.iter
-    (fun inum count ->
-      match get_entry t inum with
-      | e ->
-          if e.ino.Inode.nlink <> count then
-            report (Bad_nlink { inum; nlink = e.ino.Inode.nlink; entries = count })
-      | exception _ -> ())
-    links;
-  for inum = 1 to l.Layout.max_files - 1 do
-    if Alloc.inode_allocated t.alloc inum && not (Hashtbl.mem links inum) then
-      report (Orphan_inode { inum })
-  done;
-  List.rev !issues
+  done
 
-let integrity t = List.map (Format.asprintf "%a" pp_issue) (fsck t)
+let fsck t = B.fsck ~cross_check:(cross_check_bitmaps t) t
+
+let integrity t = List.map Lfs_vfs.Issue.to_string (fsck t)
 
 (* --- Crash repair ---------------------------------------------------- *)
 
@@ -1070,20 +962,13 @@ let repair t =
         end
       end)
     links;
-  (* Pass 3: rebuild the block bitmaps from the survivors, mirroring
-     exactly what [fsck] counts as referenced so the result audits
-     clean.  A pointer that is out of range, already claimed, or beyond
-     the inode's size is bogus — clear it. *)
-  let data_first g = Layout.group_first_block l g + meta_blocks_per_group l in
-  let in_data_range addr =
-    addr >= 1
-    && addr < l.Layout.total_blocks
-    && addr >= data_first (Layout.group_of_block l addr)
-  in
+  (* Pass 3: rebuild the block bitmaps from the survivors, so the result
+     audits clean.  A pointer outside [data_address], already claimed,
+     or beyond the inode's size is bogus — clear it. *)
   let owned = Hashtbl.create 1024 in
   let claim addr =
     if addr = Layout.null_addr then `Null
-    else if (not (in_data_range addr)) || Hashtbl.mem owned addr then `Bogus
+    else if (not (data_address t addr)) || Hashtbl.mem owned addr then `Bogus
     else begin
       Hashtbl.replace owned addr ();
       Alloc.mark_block t.alloc addr;
@@ -1164,3 +1049,4 @@ let repair t =
 
 let alloc t = t.alloc
 let inode_of t inum = (get_entry t inum).ino
+module Block_file = B

@@ -43,37 +43,13 @@ val config : t -> Config.t
 val layout : t -> Layout.t
 val free_blocks : t -> int
 
-(** {1 Structural verification}
+(** {1 Structural verification} *)
 
-    The counterpart of {!Lfs_core.Check}, so both systems in every figure
-    run under the same audit.  It lives here because the checker needs
-    the block-map and directory internals. *)
-
-type issue =
-  | Double_reference of { addr : int; owners : string list }
-      (** one disk block claimed by two different structures *)
-  | Leaked_block of { addr : int }
-      (** marked used in its cylinder-group bitmap, referenced by
-          nothing *)
-  | Lost_block of { owner : string; addr : int }
-      (** referenced by a live structure, marked free in the bitmap *)
-  | Bad_dir_entry of { dir : int; name : string; inum : int }
-      (** directory entry pointing at an unallocated inode *)
-  | Bad_nlink of { inum : int; nlink : int; entries : int }
-      (** an inode whose link count disagrees with its directory
-          entries *)
-  | Orphan_inode of { inum : int }
-      (** allocated inode with no directory entry *)
-  | Unreadable of { inum : int; reason : string }
-  | Address_out_of_range of { owner : string; addr : int }
-      (** pointer outside the disk, or into a bitmap/inode-table
-          region *)
-
-val pp_issue : Format.formatter -> issue -> unit
-
-val fsck : t -> issue list
-(** Full structural verification of the live (cache-coherent) state.
-    An empty list means the file system is structurally sound.
+val fsck : t -> Lfs_vfs.Issue.t list
+(** Full structural verification of the live (cache-coherent) state:
+    the checker both systems share ({!Lfs_vfs.Block_file.S.fsck}), plus
+    the cylinder-group bitmap cross-check.  An empty list means the file
+    system is structurally sound.
 
     Invariants checked (all update-in-place hazards the paper's §3
     baseline lives with):
@@ -83,14 +59,15 @@ val fsck : t -> issue list
       data region, not the superblock or a bitmap/inode-table area;
     - the cylinder-group block bitmaps agree with reachability: group
       metadata is permanently allocated, and a data block is marked
-      used iff something references it (no leaks, no lost blocks);
+      used iff something references it ({!Lfs_vfs.Issue.Leaked_block},
+      {!Lfs_vfs.Issue.Lost_block});
     - the namespace is sound: every directory entry resolves to an
       allocated inode, link counts match entry counts, and every
       allocated inode is reachable from the root. *)
 
 val integrity : t -> string list
-(** {!fsck} rendered with {!pp_issue} — the {!Lfs_vfs.Fs_intf.S}
-    sanitizer hook. *)
+(** {!fsck} rendered with {!Lfs_vfs.Issue.pp} — the
+    {!Lfs_vfs.Fs_intf.S} sanitizer hook. *)
 
 val repair : t -> string list
 (** fsck-style crash repair, to run right after {!mount}ing a disk that
@@ -115,3 +92,7 @@ val alloc : t -> Alloc.t
 val inode_of : t -> int -> Inode.t
 (** The in-memory inode for [inum] (loading it if needed); raises
     [Lfs_vfs.Errors.Error Enoent] if unallocated.  Test support. *)
+
+module Block_file : Lfs_vfs.Block_file.S with type t := t
+(** FFS's instance of the shared block-file layer, exposed so tests can
+    edit directories below the syscall layer.  Not for normal use. *)

@@ -4,6 +4,8 @@ module Io = Lfs_disk.Io
 module Bus = Lfs_obs.Bus
 module Event = Lfs_obs.Event
 
+type block_role = Data | Indirect | Dindirect | Dind_child
+
 module type FS = sig
   type t
   type file
@@ -24,6 +26,14 @@ module type FS = sig
   val fetch_into : t -> int -> bytes -> unit
   val clusterable : t -> int -> bool
   val write_dir_block : t -> file -> int -> bytes -> unit
+  val max_files : t -> int
+  val allocated : t -> int -> bool
+  val nlink : file -> int
+  val indirect : file -> int
+  val dindirect : file -> int
+  val ptrs_per_block : t -> int
+  val dind_child : t -> file -> int -> int
+  val data_address : t -> int -> bool
 end
 
 module type S = sig
@@ -42,6 +52,14 @@ module type S = sig
   val resolve_dir : t -> string list -> int
   val resolve_path : t -> string -> int
   val regular : t -> string -> file
+  val load : t -> int -> (file, string) result
+  val iter_blocks : t -> file -> (block_role -> int -> int -> unit) -> unit
+
+  val fsck :
+    ?extra_owners:((owner:string -> int -> unit) -> unit) ->
+    ?cross_check:((int -> string option) -> (Issue.t -> unit) -> unit) ->
+    t ->
+    Issue.t list
 end
 
 let key ~inum ~blkno = { Cache.owner = inum; blkno }
@@ -360,6 +378,104 @@ module Make (F : FS) = struct
     let f = F.find t (resolve_path t path) in
     if F.kind f = Fs_intf.Directory then Errors.raise_ (Errors.Eisdir path);
     f
+
+  (* Structural checks *)
+
+  let load t inum =
+    match F.find t inum with
+    | f -> Ok f
+    | exception Errors.Error e -> Error (Errors.to_string e)
+    | exception (Lfs_util.Codec.Error reason | Failure reason) -> Error reason
+
+  let iter_blocks t f visit =
+    for blkno = 0 to nblocks t f - 1 do
+      visit Data blkno (F.bmap t f blkno)
+    done;
+    visit Indirect 0 (F.indirect f);
+    let dind = F.dindirect f in
+    if dind <> F.null_addr then begin
+      visit Dindirect 0 dind;
+      for child = 0 to F.ptrs_per_block t - 1 do
+        visit Dind_child child (F.dind_child t f child)
+      done
+    end
+
+  let owner_label inum role index =
+    match role with
+    | Data -> Printf.sprintf "inum %d block %d" inum index
+    | Indirect -> Printf.sprintf "inum %d indirect" inum
+    | Dindirect -> Printf.sprintf "inum %d dindirect" inum
+    | Dind_child -> Printf.sprintf "inum %d dind child %d" inum index
+
+  (* Every entry must name an allocated inode, every link count must
+     match its entries, and every allocated inode must be reachable.  A
+     directory is entered once however many entries name it, so a
+     corrupted (cyclic) tree still ends; every entry is counted. *)
+  let check_namespace t report =
+    let links = Hashtbl.create 256 in
+    let rec walk dir =
+      List.iter
+        (fun (name, inum) ->
+          if inum <= 0 || inum >= F.max_files t || not (F.allocated t inum)
+          then report (Issue.Bad_dir_entry { dir; name; inum })
+          else begin
+            let first_visit = not (Hashtbl.mem links inum) in
+            Hashtbl.replace links inum
+              (1 + Option.value ~default:0 (Hashtbl.find_opt links inum));
+            match load t inum with
+            | Error reason -> report (Issue.Unreadable { inum; reason })
+            | Ok f ->
+                if first_visit && F.kind f = Fs_intf.Directory then walk inum
+          end)
+        (entries t ~dir)
+    in
+    Hashtbl.replace links F.root 1;
+    walk F.root;
+    Hashtbl.iter
+      (fun inum count ->
+        match load t inum with
+        | Ok f ->
+            if F.nlink f <> count then
+              report (Issue.Bad_nlink { inum; nlink = F.nlink f; entries = count })
+        | Error _ -> ())
+      links;
+    for inum = 1 to F.max_files t - 1 do
+      if F.allocated t inum && not (Hashtbl.mem links inum) then
+        report (Issue.Orphan_inode { inum })
+    done
+
+  let fsck ?(extra_owners = fun _ -> ()) ?(cross_check = fun _ _ -> ()) t =
+    let issues = ref [] in
+    let report i = issues := i :: !issues in
+    (* Block-ownership map: every live block has exactly one owner. *)
+    let owners : (int, string list) Hashtbl.t = Hashtbl.create 1024 in
+    let reference ~owner addr =
+      if addr <> F.null_addr then
+        if not (F.data_address t addr) then
+          report (Issue.Address_out_of_range { owner; addr })
+        else
+          let prev = Option.value ~default:[] (Hashtbl.find_opt owners addr) in
+          Hashtbl.replace owners addr (owner :: prev)
+    in
+    for inum = 1 to F.max_files t - 1 do
+      if F.allocated t inum then
+        match load t inum with
+        | Error reason -> report (Issue.Unreadable { inum; reason })
+        | Ok f ->
+            iter_blocks t f (fun role index addr ->
+                reference ~owner:(owner_label inum role index) addr)
+    done;
+    extra_owners reference;
+    Hashtbl.iter
+      (fun addr os ->
+        if List.length os > 1 then
+          report (Issue.Double_reference { addr; owners = os }))
+      owners;
+    cross_check
+      (fun addr -> Option.map List.hd (Hashtbl.find_opt owners addr))
+      report;
+    check_namespace t report;
+    List.rev !issues
 end
 
 let check_read ~off ~len =

@@ -4,15 +4,28 @@
     a file's inode is found its blocks are read exactly as in FFS.  This
     functor holds that common machinery once: the cached read path with
     clustered fills and read-ahead, the directory scan/insert/remove over
-    {!Dir_block}, path resolution, and truncate's partial-tail zeroing.
+    {!Dir_block}, path resolution, truncate's partial-tail zeroing, and
+    the structural checker ({!S.fsck}): the block-ownership map, the
+    per-file block walk and the namespace walk.
 
     A file system supplies only what really differs: its block map, how
     a block that missed in the cache is fetched (LFS copies blocks of the
     segment still being assembled from memory) and whether an address
     may join a multi-block disk request, and how an edited directory
     block is written back (LFS leaves it dirty in the cache; FFS writes
-    it synchronously in place).  Syscall wrappers, CPU charges, atime and
-    the write loop stay with each file system. *)
+    it synchronously in place).  For the checker it also supplies its
+    inode allocation test, its pointer blocks and which addresses may
+    hold file blocks.  Syscall wrappers, CPU charges, atime, the write
+    loop and each system's own structural checks stay with each file
+    system. *)
+
+(** What a block of a file is to it, in {!S.iter_blocks}. *)
+type block_role =
+  | Data  (** a data block; its index is the logical block number *)
+  | Indirect
+  | Dindirect  (** the double-indirect block *)
+  | Dind_child
+      (** a child of the double-indirect block; its index is its slot *)
 
 module type FS = sig
   type t
@@ -62,6 +75,28 @@ module type FS = sig
   (** [write_dir_block t dir blk block] writes back directory block
       [blk] after an in-place edit, growing the directory's size to
       cover it and updating its mtime. *)
+
+  (** {2 Structural checks} *)
+
+  val max_files : t -> int
+  (** Inode numbers run from 1 to [max_files - 1]. *)
+
+  val allocated : t -> int -> bool
+  (** Whether an inode number in that range is allocated. *)
+
+  val nlink : file -> int
+  val indirect : file -> int
+  val dindirect : file -> int
+  val ptrs_per_block : t -> int
+
+  val dind_child : t -> file -> int -> int
+  (** [dind_child t f child] is slot [child] of [f]'s double-indirect
+      block, which is not {!null_addr}. *)
+
+  val data_address : t -> int -> bool
+  (** Whether a block address (not {!null_addr}) lies where a file's
+      data or pointer blocks may: on the disk, past the superblock and
+      the system's fixed metadata. *)
 end
 
 module type S = sig
@@ -128,6 +163,43 @@ module type S = sig
   val regular : t -> string -> file
   (** The regular file at a path.  @raise Errors.Error [Eisdir] on a
       directory. *)
+
+  (** {1 Structural checks} *)
+
+  val load : t -> int -> (file, string) result
+  (** Load an inode, or say why it does not load: not allocated, its
+      slot empty or undecodable, its inode block clobbered. *)
+
+  val iter_blocks : t -> file -> (block_role -> int -> int -> unit) -> unit
+  (** [iter_blocks t f visit] calls [visit role index addr] for every
+      block slot of [f], holes ({!FS.null_addr}) included: each data
+      block up to the size, then the indirect block, then — when there
+      is one — the double-indirect block and each of its children. *)
+
+  val fsck :
+    ?extra_owners:((owner:string -> int -> unit) -> unit) ->
+    ?cross_check:((int -> string option) -> (Issue.t -> unit) -> unit) ->
+    t ->
+    Issue.t list
+  (** Full structural verification.  An empty list means the file
+      system is structurally sound.  In order:
+
+      + every allocated inode, in inum order, is loaded ({!Issue.Unreadable}
+        if it does not) and its blocks entered in the block-ownership
+        map, tagged ["inum N block B"], ["inum N indirect"] and so on;
+        an address outside {!FS.data_address} is
+        {!Issue.Address_out_of_range};
+      + [extra_owners reference] enters the system's own blocks;
+      + every block with more than one owner is a
+        {!Issue.Double_reference};
+      + [cross_check owner report] runs the system's own checks against
+        the map: [owner addr] is the last owner entered for [addr];
+      + the namespace walk from the root: every entry must name an
+        allocated inode ({!Issue.Bad_dir_entry}), every link count must
+        match its entries ({!Issue.Bad_nlink}), every allocated inode
+        must be reachable ({!Issue.Orphan_inode}).  Each directory is
+        entered once, so a cyclic tree is reported, not walked
+        forever. *)
 end
 
 module Make (F : FS) : S with type t = F.t and type file = F.file

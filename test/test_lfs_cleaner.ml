@@ -400,7 +400,7 @@ let test_structurally_sound_after_cleaning () =
   | issues ->
       Alcotest.failf "structural issues after cleaning: %s"
         (String.concat "; "
-           (List.map (Format.asprintf "%a" Lfs_core.Check.pp_issue) issues))
+           (List.map Lfs_vfs.Issue.to_string issues))
 
 let test_usage_accounting_exact () =
   (* The incremental live-byte estimates must track ground truth through

@@ -127,7 +127,7 @@ let test_delete_durable_after_rollforward () =
   | issues ->
       Alcotest.failf "issues after recovery: %s"
         (String.concat "; "
-           (List.map (Format.asprintf "%a" Lfs_core.Check.pp_issue) issues))
+           (List.map Lfs_vfs.Issue.to_string issues))
 
 let test_links_survive_recovery () =
   let fs = make_lfs () in
@@ -212,14 +212,14 @@ let test_crash_during_cleaning_sweep () =
     done;
     match
       List.filter
-        (function Lfs_core.Check.Orphan_inode _ -> false | _ -> true)
+        (function Lfs_vfs.Issue.Orphan_inode _ -> false | _ -> true)
         (Lfs_core.Check.fsck fs2)
     with
     | [] -> ()
     | issues ->
         Alcotest.failf "crash@%d: %s" sectors
           (String.concat "; "
-             (List.map (Format.asprintf "%a" Lfs_core.Check.pp_issue) issues))
+             (List.map Lfs_vfs.Issue.to_string issues))
   in
   List.iter run_one [ 2; 9; 17; 33; 65; 120; 250 ]
 

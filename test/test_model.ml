@@ -189,7 +189,7 @@ let lfs_model_prop ~name ~count ~config ~ops_gen =
             QCheck.Test.fail_reportf "structural issues: %s"
               (String.concat "; "
                  (List.map
-                    (Format.asprintf "%a" Lfs_core.Check.pp_issue)
+                    Lfs_vfs.Issue.to_string
                     issues)));
         (* Live-byte accounting must track ground truth (± the usage
            array's self-reference slack). *)
@@ -342,14 +342,14 @@ let lfs_crash_recovery_prop ~name ~count ~config =
          for post-checkpoint deletes (documented 1990 limitation). *)
       (match
          List.filter
-           (function Lfs_core.Check.Orphan_inode _ -> false | _ -> true)
+           (function Lfs_vfs.Issue.Orphan_inode _ -> false | _ -> true)
            (Lfs_core.Check.fsck fs2)
        with
       | [] -> ()
       | issues ->
           QCheck.Test.fail_reportf "post-crash structural issues: %s"
             (String.concat "; "
-               (List.map (Format.asprintf "%a" Lfs_core.Check.pp_issue) issues)));
+               (List.map Lfs_vfs.Issue.to_string issues)));
       (* (2) Checkpointed-and-untouched files intact. *)
       List.iter
         (fun (p, id, content) ->
